@@ -34,8 +34,8 @@ use claire_core::evaluate::EvalOptions;
 use claire_core::graphs::universal_graph;
 use claire_core::telemetry::Metric;
 use claire_core::{
-    search_with_engine, Claire, Constraints, DesignConfig, Engine, EngineStats, LifecycleEvent,
-    LifecycleStage, QuantileDigest, SearchPolicy, ServeObserver, Telemetry,
+    search_with_engine, Claire, ClaireOptions, Constraints, DesignConfig, Engine, EngineStats,
+    LifecycleEvent, LifecycleStage, QuantileDigest, SearchPolicy, ServeObserver, Telemetry,
 };
 use claire_graph::{agglomerate_by, louvain_reference, weighted_jaccard};
 use claire_model::{zoo, Model};
@@ -44,6 +44,19 @@ use serde::{Number, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
+
+/// Cold-flow / warm-restart pairs the persistence section times; its
+/// figures are medians over them.
+const PERSIST_REPEATS: usize = 5;
+
+/// One timed cold flow + save, then warm restart (load, flow, save).
+struct PersistSample {
+    cold: Duration,
+    save: Duration,
+    load: Duration,
+    warm: Duration,
+    warm_save: Duration,
+}
 
 fn main() {
     let mut models = zoo::training_set();
@@ -195,7 +208,9 @@ fn main() {
     // tiers, restore them into a fresh engine (a new "process"), and
     // rerun the identical flow — the warm restart must be
     // bit-identical, faster, and the snapshot bytes canonical
-    // (independent of thread count). The `persist` object in
+    // (independent of thread count). "Faster" counts everything a
+    // warm restart pays: load + warm flow + the warm run's save, each
+    // a median over PERSIST_REPEATS restarts. The `persist` object in
     // BENCH_profile.json carries the CI perf-smoke gate
     // (`warm_restart_speedup > 1.0`).
     let snap_dir = std::env::temp_dir().join(format!("claire-profile-snap-{}", std::process::id()));
@@ -219,40 +234,77 @@ fn main() {
         format!("{train:?}\n{test:?}")
     };
 
-    let persist_cold = Engine::for_space(&paper_options().space);
-    let t_cold = Instant::now();
-    let cold_rendered = persist_flow(&persist_cold);
-    let persist_cold_time = t_cold.elapsed();
+    // The warm run's save goes through the same clean-save rule as
+    // the CLI: a warm flow that memoized nothing new skips the write.
+    let persist_store = Claire::new(ClaireOptions {
+        cache_dir: Some(snap_dir.clone()),
+        ..paper_options()
+    });
+    let mut samples = Vec::with_capacity(PERSIST_REPEATS);
+    let mut persist_identical = true;
+    for _ in 0..PERSIST_REPEATS {
+        let cold_engine = Engine::for_space(&paper_options().space);
+        let t = Instant::now();
+        let cold_rendered = persist_flow(&cold_engine);
+        let cold = t.elapsed();
 
-    let t_save = Instant::now();
-    assert!(
-        persist_cold
-            .save_snapshot(&snap_path)
-            .expect("save snapshot"),
-        "cold engine had nothing to snapshot"
-    );
-    let save_time = t_save.elapsed();
-    let snapshot_len = std::fs::metadata(&snap_path).expect("snapshot stat").len();
+        let t = Instant::now();
+        assert!(
+            cold_engine
+                .save_snapshot(&snap_path)
+                .expect("save snapshot"),
+            "cold engine had nothing to snapshot"
+        );
+        let save = t.elapsed();
 
-    let persist_warm = Engine::for_space(&paper_options().space);
-    let t_load = Instant::now();
-    assert!(
-        persist_warm
-            .load_snapshot(&snap_path)
-            .expect("load snapshot"),
-        "snapshot restored nothing"
-    );
-    let load_time = t_load.elapsed();
-    let t_warm = Instant::now();
-    let warm_rendered = persist_flow(&persist_warm);
-    let persist_warm_time = t_warm.elapsed();
+        let warm_engine = Engine::for_space(&paper_options().space);
+        let t = Instant::now();
+        assert!(
+            warm_engine
+                .load_snapshot(&snap_path)
+                .expect("load snapshot"),
+            "snapshot restored nothing"
+        );
+        let load = t.elapsed();
+        let t = Instant::now();
+        let warm_rendered = persist_flow(&warm_engine);
+        let warm = t.elapsed();
+        let t = Instant::now();
+        let warm_saved = persist_store
+            .save_warm_state(&warm_engine)
+            .expect("warm save");
+        let warm_save = t.elapsed();
+        assert!(
+            !warm_saved,
+            "a warm flow with clean tiers rewrote its snapshot"
+        );
 
-    let persist_identical = warm_rendered == cold_rendered;
+        persist_identical &= warm_rendered == cold_rendered;
+        samples.push(PersistSample {
+            cold,
+            save,
+            load,
+            warm,
+            warm_save,
+        });
+    }
     assert!(
         persist_identical,
         "flow restarted from a snapshot diverged from the cold flow"
     );
-    let warm_restart_speedup = persist_cold_time.as_secs_f64() / persist_warm_time.as_secs_f64();
+    let snapshot_len = std::fs::metadata(&snap_path).expect("snapshot stat").len();
+    let median = |part: fn(&PersistSample) -> Duration| {
+        let mut v: Vec<Duration> = samples.iter().map(part).collect();
+        v.sort_unstable();
+        v[v.len() / 2]
+    };
+    let persist_cold_time = median(|s| s.cold);
+    let save_time = median(|s| s.save);
+    let load_time = median(|s| s.load);
+    let persist_warm_time = median(|s| s.warm);
+    let warm_save_time = median(|s| s.warm_save);
+    let warm_restart_time = median(|s| s.load + s.warm + s.warm_save);
+    let warm_restart_speedup = persist_cold_time.as_secs_f64() / warm_restart_time.as_secs_f64();
 
     // Canonical encoding: the same flow at 1, 2 and 8 threads reaches
     // byte-identical snapshots.
@@ -270,16 +322,18 @@ fn main() {
     std::fs::remove_dir_all(&snap_dir).ok();
 
     println!();
-    println!("== Warm-state persistence (snapshot restart) ==");
+    println!("== Warm-state persistence (snapshot restart, median of {PERSIST_REPEATS}) ==");
     println!(
         "cold flow {:>9.3} ms, saved {snapshot_len} snapshot bytes in {:.3} ms",
         persist_cold_time.as_secs_f64() * 1e3,
         save_time.as_secs_f64() * 1e3
     );
     println!(
-        "loaded in {:.3} ms, warm flow {:>9.3} ms  ({warm_restart_speedup:.2}x warm-restart speedup)",
+        "loaded in {:.3} ms, warm flow {:>9.3} ms, warm save {:.3} ms (skipped: clean tiers)  \
+         ({warm_restart_speedup:.2}x warm-restart speedup over load + flow + save)",
         load_time.as_secs_f64() * 1e3,
-        persist_warm_time.as_secs_f64() * 1e3
+        persist_warm_time.as_secs_f64() * 1e3,
+        warm_save_time.as_secs_f64() * 1e3
     );
     println!(
         "bit-identical outputs: {persist_identical}; \
@@ -287,8 +341,8 @@ fn main() {
     );
     assert!(
         warm_restart_speedup > 1.0,
-        "warm restart ({:.3} ms) not faster than the cold flow ({:.3} ms)",
-        persist_warm_time.as_secs_f64() * 1e3,
+        "warm restart ({:.3} ms load + flow + save) not faster than the cold flow ({:.3} ms)",
+        warm_restart_time.as_secs_f64() * 1e3,
         persist_cold_time.as_secs_f64() * 1e3
     );
 
@@ -967,6 +1021,7 @@ fn main() {
                 ("load_ms", ms(load_time)),
                 ("cold_ms", ms(persist_cold_time)),
                 ("warm_ms", ms(persist_warm_time)),
+                ("warm_save_ms", ms(warm_save_time)),
                 ("warm_restart_speedup", num(warm_restart_speedup)),
                 ("identical", Value::Bool(persist_identical)),
                 (

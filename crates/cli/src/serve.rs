@@ -745,14 +745,14 @@ fn admit(state: &ServerState, line: &str, reply: &mpsc::Sender<String>) {
     state.telemetry().count(Metric::ServeRequests);
     let request = match parse_request(line) {
         Ok(r) => r,
-        Err(msg) => {
-            state.emit(state.lifecycle(LifecycleStage::Received, trace, &Value::Null, "invalid"));
-            let mut errored =
-                state.lifecycle(LifecycleStage::Errored, trace, &Value::Null, "invalid");
+        Err((id, msg)) => {
+            let logged = id.clone().unwrap_or(Value::Null);
+            state.emit(state.lifecycle(LifecycleStage::Received, trace, &logged, "invalid"));
+            let mut errored = state.lifecycle(LifecycleStage::Errored, trace, &logged, "invalid");
             errored.outcome = Some(2);
             state.emit(errored);
             state.telemetry().count(Metric::ServeAnswered);
-            let _ = reply.send(plain_error_line_traced(2, &msg, trace));
+            let _ = reply.send(plain_error_line_traced(2, &msg, trace, id));
             return;
         }
     };
@@ -1226,13 +1226,18 @@ fn plain_error_line(code: i64, detail: &str) -> String {
 }
 
 /// A typed error line for a received line that failed to parse: it
-/// did enter the lifecycle, so the serve-assigned trace id is echoed.
-fn plain_error_line_traced(code: i64, detail: &str, trace: u64) -> String {
-    to_line(&serde_json::json!({
+/// did enter the lifecycle, so the serve-assigned trace id is echoed,
+/// and so is the request `id` when the line parsed as a JSON object.
+fn plain_error_line_traced(code: i64, detail: &str, trace: u64, id: Option<Value>) -> String {
+    let mut value = serde_json::json!({
         "trace_id": Value::Number(Number::PosInt(trace)),
         "ok": false,
         "error": serde_json::json!({ "code": code, "detail": detail }),
-    }))
+    });
+    if let (Some(id), Value::Object(fields)) = (id, &mut value) {
+        fields.insert(0, ("id".to_string(), id));
+    }
+    to_line(&value)
 }
 
 /// Writes the session's trace/metrics exports (the `--trace-out` and
@@ -1294,11 +1299,22 @@ fn error_value(op: &str, e: &ClaireError) -> Value {
     })
 }
 
-/// Parses one request line into a [`Request`], with a user-facing
-/// message on malformed input.
-fn parse_request(line: &str) -> Result<Request, String> {
-    let value: Value = serde_json::from_str(line).map_err(|e| format!("bad JSON: {e}"))?;
-    let obj = value.as_object().ok_or("request must be a JSON object")?;
+/// Parses one request line into a [`Request`]. On malformed input the
+/// error carries a user-facing message and the `id` to echo: the
+/// line's `id` (`null` when absent) once it parsed as a JSON object,
+/// `None` when it did not.
+fn parse_request(line: &str) -> Result<Request, (Option<Value>, String)> {
+    let value: Value = serde_json::from_str(line).map_err(|e| (None, format!("bad JSON: {e}")))?;
+    let Some(obj) = value.as_object() else {
+        return Err((None, "request must be a JSON object".into()));
+    };
+    let id = value.get("id").cloned().unwrap_or(Value::Null);
+    request_fields(&value, obj, id.clone()).map_err(|msg| (Some(id), msg))
+}
+
+/// Builds a [`Request`] from a parsed JSON object (`value`, whose
+/// fields are `obj`).
+fn request_fields(value: &Value, obj: &[(String, Value)], id: Value) -> Result<Request, String> {
     for (key, _) in obj {
         if !matches!(
             key.as_str(),
@@ -1316,7 +1332,6 @@ fn parse_request(line: &str) -> Result<Request, String> {
             return Err(format!("unknown request field `{key}`"));
         }
     }
-    let id = value.get("id").cloned().unwrap_or(Value::Null);
     let trace_out = value
         .get("trace_out")
         .map(|v| {
@@ -1334,7 +1349,7 @@ fn parse_request(line: &str) -> Result<Request, String> {
         .transpose()?;
     let op = match value.get("op").and_then(Value::as_str) {
         Some("custom") => Op::Custom {
-            model: request_model(&value)?,
+            model: request_model(value)?,
             policy: match value.get("degrade").map(Value::as_bool) {
                 None => None,
                 Some(Some(true)) => Some(RobustnessPolicy::Degrade),
@@ -1343,11 +1358,11 @@ fn parse_request(line: &str) -> Result<Request, String> {
             },
         },
         Some("assign") => Op::Assign {
-            model: request_model(&value)?,
+            model: request_model(value)?,
         },
         Some("what_if") => Op::WhatIf {
-            model: request_model(&value)?,
-            constraints: request_constraints(&value)?,
+            model: request_model(value)?,
+            constraints: request_constraints(value)?,
         },
         // In-band introspection needs no model — only `id` (and `op`)
         // make sense on a stats probe.

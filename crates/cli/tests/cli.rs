@@ -385,6 +385,52 @@ fn cache_dir_round_trip_is_bit_identical_and_survives_corruption() {
 }
 
 #[test]
+fn clean_flow_leaves_the_snapshot_untouched_and_new_work_rewrites_it() {
+    let dir = std::env::temp_dir().join(format!("claire-cli-clean-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let cache = dir.to_str().expect("utf8");
+    let run = |args: &[&str]| {
+        let out = cli()
+            .args(args)
+            .args(["--cache-dir", cache])
+            .output()
+            .expect("run");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let snapshot = dir.join("claire.snapshot");
+    let state = || {
+        let bytes = std::fs::read(&snapshot).expect("snapshot bytes");
+        let mtime = std::fs::metadata(&snapshot)
+            .and_then(|m| m.modified())
+            .expect("snapshot mtime");
+        (bytes, mtime)
+    };
+
+    let cold = run(&["flow", "--paper-subsets"]);
+    let saved = state();
+    // Let the clock move on, so a rewrite would show in the mtime.
+    std::thread::sleep(std::time::Duration::from_millis(50));
+
+    // An identical flow memoizes nothing new: the file is not rewritten.
+    let warm = run(&["flow", "--paper-subsets"]);
+    assert_eq!(cold, warm, "warm flow output diverged from cold");
+    assert!(state() == saved, "a clean warm flow rewrote the snapshot");
+
+    // A model outside the paper flow adds tier entries: the file is
+    // rewritten with them.
+    run(&["custom", "Wav2Vec2-base"]);
+    let (bytes, mtime) = state();
+    assert_ne!(bytes, saved.0, "new tier entries were not saved");
+    assert_ne!(mtime, saved.1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn serve_answers_batched_json_lines_requests() {
     use std::io::Write;
     use std::process::Stdio;

@@ -122,6 +122,55 @@ fn socket_serves_multiple_clients_and_drains_on_sigterm() {
 }
 
 #[test]
+fn request_errors_echo_the_id_of_every_line_that_parsed_as_an_object() {
+    let mut child = cli()
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn serve");
+    child
+        .stdin
+        .take()
+        .expect("stdin")
+        .write_all(
+            b"{\"id\":4,\"op\":\"custom\",\"model\":\"nope\"}\n\
+              {\"id\":\"u\",\"op\":\"custom\",\"model\":\"Alexnet\",\"colour\":\"red\"}\n\
+              not json\n",
+        )
+        .expect("write requests");
+    let out = child.wait_with_output().expect("serve exits on EOF");
+    assert!(out.status.success());
+    let answers: Vec<serde_json::Value> = String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("response is JSON"))
+        .collect();
+    assert_eq!(answers.len(), 3, "{answers:?}");
+    for a in &answers {
+        assert_eq!(a["ok"].as_bool(), Some(false), "{a}");
+        assert_eq!(a["error"]["code"].as_u64(), Some(2), "{a}");
+        assert!(a["trace_id"].as_u64().is_some(), "{a}");
+    }
+    let by_id = |id: &serde_json::Value| answers.iter().find(|a| a.get("id") == Some(id));
+
+    // A request-level error (unknown model) echoes the numeric id ...
+    let unknown_model = by_id(&serde_json::json!(4)).expect("id 4 echoed");
+    let detail = unknown_model["error"]["detail"].as_str().expect("detail");
+    assert!(detail.contains("unknown model"), "{detail}");
+    // ... an unknown field echoes a string id ...
+    let unknown_field = by_id(&serde_json::json!("u")).expect("id \"u\" echoed");
+    let detail = unknown_field["error"]["detail"].as_str().expect("detail");
+    assert!(detail.contains("unknown request field"), "{detail}");
+    // ... and a line that is not JSON has no id to echo.
+    assert_eq!(
+        answers.iter().filter(|a| a.get("id").is_none()).count(),
+        1,
+        "{answers:?}"
+    );
+}
+
+#[test]
 fn dropped_connection_fault_is_finite_and_server_survives() {
     let dir = scratch("drop");
     let socket = dir.join("claire.sock");

@@ -356,9 +356,11 @@ impl Claire {
 
     /// Saves `engine`'s memo tiers to the snapshot named by the
     /// options (creating `cache_dir` if needed), returning whether
-    /// one was written. `Ok(false)` when persistence is disabled or
-    /// the engine's tiers are not snapshot-sound (cache disabled,
-    /// fault plan armed).
+    /// one was written. `Ok(false)` when persistence is disabled, the
+    /// tiers are clean — unchanged since they were last saved or
+    /// loaded whole ([`Engine::tiers_persisted`]) — or the engine's
+    /// tiers are not snapshot-sound (cache disabled, fault plan
+    /// armed).
     ///
     /// # Errors
     ///
@@ -368,6 +370,9 @@ impl Claire {
         let Some(path) = self.snapshot_path() else {
             return Ok(false);
         };
+        if engine.tiers_persisted() {
+            return Ok(false);
+        }
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir).map_err(|e| ClaireError::Internal {
                 detail: format!("cannot create cache dir {}: {e}", dir.display()),

@@ -450,6 +450,10 @@ pub struct Engine {
     /// infinite bandwidth), keyed like the compute-sum tier.
     pub(crate) lbs: MemoMap<(u32, HwParams), u64>,
     pub(crate) models: RwLock<ModelInterner>,
+    /// The [`Engine::tier_signature`] the last snapshot save wrote, or
+    /// that a load into empty tiers restored; `None` before either.
+    /// See [`Engine::tiers_persisted`].
+    pub(crate) persisted: RwLock<Option<u64>>,
     /// The telemetry hub every counter, span and export reads from —
     /// the single source of truth behind [`EngineStats`].
     telemetry: Arc<Telemetry>,
@@ -540,6 +544,7 @@ impl Engine {
             areas: RwLock::new(HashMap::default()),
             lbs: RwLock::new(HashMap::default()),
             models: RwLock::new(ModelInterner::default()),
+            persisted: RwLock::new(None),
             telemetry: Arc::new(Telemetry::new()),
         }
     }
@@ -663,14 +668,11 @@ impl Engine {
         t.set_gauge(Gauge::StructInstances, interner.by_instance.len() as u64);
     }
 
-    /// A cheap signature of the memo tiers' entry counts, for
-    /// dirty-delta checks (e.g. skipping a warm-state checkpoint when
-    /// nothing new was memoized). Tiers are insert-only, so equal
-    /// signatures across two observations mean no tier grew between
-    /// them; the per-tier counts are mixed positionally so growth in
-    /// one tier cannot cancel growth in another.
-    pub fn tier_signature(&self) -> u64 {
-        let counts = [
+    /// Entry counts of every persisted memo tier, warm-start records
+    /// counted individually as well as by graph.
+    fn tier_counts(&self) -> [usize; 11] {
+        let warm = read_lock(&self.louvain_warm);
+        [
             self.shards
                 .iter()
                 .map(|s| read_lock(s).len())
@@ -681,12 +683,27 @@ impl Engine {
             read_lock(&self.graphs).len(),
             read_lock(&self.areas).len(),
             read_lock(&self.comms).len(),
-            read_lock(&self.louvain_warm).len(),
+            warm.len(),
+            warm.values().map(Vec::len).sum::<usize>(),
             read_lock(&self.lbs).len(),
             read_lock(&self.models).by_content.len(),
-        ];
+        ]
+    }
+
+    /// True when no memo tier holds an entry.
+    pub(crate) fn tiers_empty(&self) -> bool {
+        self.tier_counts().iter().all(|&c| c == 0)
+    }
+
+    /// A cheap signature of the memo tiers' entry counts, for
+    /// dirty-delta checks (e.g. skipping a warm-state save when
+    /// nothing new was memoized). Tiers are insert-only, so equal
+    /// signatures across two observations mean no tier grew between
+    /// them; the per-tier counts are mixed positionally so growth in
+    /// one tier cannot cancel growth in another.
+    pub fn tier_signature(&self) -> u64 {
         let mut sig = 0xcbf2_9ce4_8422_2325_u64;
-        for c in counts {
+        for c in self.tier_counts() {
             sig = (sig ^ c as u64).wrapping_mul(0x0000_0100_0000_01b3);
         }
         sig

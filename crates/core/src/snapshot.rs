@@ -12,29 +12,59 @@
 //!
 //! # File format
 //!
-//! A fixed binary header followed by a canonical JSON payload:
+//! A fixed binary header followed by a compact binary payload:
 //!
 //! ```text
 //! offset  size  field
 //!      0     8  magic `CLAIRSNP`
 //!      8     2  byte-order mark 0xFEFF, little-endian (`FF FE`)
-//!     10     4  format version (u32 LE, currently 1)
+//!     10     4  format version (u32 LE, currently 2)
 //!     14     8  payload length in bytes (u64 LE)
 //!     22     8  FNV-1a-64 checksum of the payload (u64 LE)
-//!     30     …  JSON payload
+//!     30     …  binary payload
 //! ```
 //!
-//! The payload is self-describing JSON (schema in [`Payload`]) with
-//! every float stored as its IEEE-754 bit pattern (`f64::to_bits`), so
-//! a round trip is bit-exact and never passes through decimal
-//! formatting. All sections are canonically ordered and structural ids
-//! are renumbered into content order before writing, which makes
-//! snapshots **byte-identical across thread counts** and across
-//! processes that computed the same entries in different orders.
+//! The payload is ten sections, in this order: structures, layer
+//! costs, area tables, compute sums, lower bounds, route keys,
+//! communication sequences, exact Louvain partitions, warm Louvain
+//! groups, universal graphs. Each section is an entry count followed
+//! by the entries. Inside an entry:
+//!
+//! * integers are unsigned LEB128 varints;
+//! * floats are their IEEE-754 bit patterns (`f64::to_bits`), 8 bytes
+//!   little-endian, so a round trip is bit-exact;
+//! * enums (layer kinds, op classes, activation and pooling kinds) and
+//!   booleans are one tag byte;
+//! * every sequence carries a varint length prefix.
+//!
+//! Structural ids are renumbered into the order of the structures'
+//! encoded bytes, and every section (and the records inside a warm
+//! group) is sorted by its entries' encoded bytes. Equal tier
+//! *contents* therefore give equal *bytes*: snapshots are
+//! **byte-identical across thread counts** and across processes that
+//! computed the same entries in different orders.
+//!
+//! The decoder checks every length prefix against the bytes that
+//! remain before it allocates, and rejects unknown tags, out-of-range
+//! ids, non-finite costs and trailing bytes. It decodes into a staging
+//! area that touches no engine state until the whole payload has
+//! validated.
+//!
+//! # Clean saves
+//!
+//! An [`Engine`] keeps one *persisted mark*: its
+//! [`Engine::tier_signature`] at the last successful
+//! [`Engine::save_snapshot`], or right after an
+//! [`Engine::load_snapshot`] into an engine whose tiers were empty.
+//! While the signature still equals the mark, the snapshot on disk
+//! already holds every tier entry, so
+//! [`Claire::save_warm_state`](crate::Claire::save_warm_state) — and
+//! the serve checkpoint built on it — skip the write. `save_snapshot`
+//! itself always writes.
 //!
 //! # Versioning and invalidation
 //!
-//! Any reader-visible change to the payload schema or to the meaning
+//! Any reader-visible change to the payload layout or to the meaning
 //! of a cached value (a cost-model change, a new key field) must bump
 //! [`SNAPSHOT_VERSION`]. A reader rejects unknown versions — along
 //! with short files, bad magic, foreign byte order, checksum
@@ -49,9 +79,12 @@ use crate::parallel::{
     read_lock, write_lock, Engine, Prehashed, TopologyKey, UniversalCsr, WarmEntry,
 };
 use claire_graph::{CsrGraph, Partition, WeightedGraph};
-use claire_model::{LayerKind, OpClass};
+use claire_model::{
+    Activation, ActivationKind, Conv1d, Conv2d, Flatten, LayerKind, Linear, OpClass, Permute,
+    Pooling, PoolingKind,
+};
 use claire_ppa::{HwParams, LayerCost};
-use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -62,9 +95,9 @@ const MAGIC: [u8; 8] = *b"CLAIRSNP";
 /// foreign-endianness (or byte-swapped) header check cheaply.
 const BOM: u16 = 0xFEFF;
 
-/// Current snapshot format version. Bump on any schema or
+/// Current snapshot format version. Bump on any layout or
 /// cached-value-semantics change; readers reject other versions.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Header length in bytes: magic + BOM + version + length + checksum.
 const HEADER_LEN: usize = 8 + 2 + 4 + 8 + 8;
@@ -85,373 +118,305 @@ fn invalid(detail: impl Into<String>) -> ClaireError {
     }
 }
 
-// --- payload schema -------------------------------------------------------
-
-/// One `layer_cost` tier entry: the memoized per-layer PPA numbers for
-/// a (layer, hardware) pair.
-#[derive(Serialize, Deserialize)]
-struct CostEntry {
-    kind: LayerKind,
-    hw: HwParams,
-    cycles: u64,
-    /// `f64::to_bits` of the energy in pJ.
-    energy_pj: u64,
-    executions: u64,
-}
-
-/// One `area` tier entry: per-class unit areas for a hardware point.
-#[derive(Serialize, Deserialize)]
-struct AreaEntry {
-    hw: HwParams,
-    /// `f64::to_bits` per [`OpClass::index`]; length [`OpClass::COUNT`].
-    areas_mm2: Vec<u64>,
-}
-
-/// One `compute_sum` tier entry, keyed by snapshot structural id.
-#[derive(Serialize, Deserialize)]
-struct SumEntry {
-    sid: u32,
-    hw: HwParams,
-    cycles: u64,
-    energy_pj: u64,
-}
-
-/// One `lb` tier entry: the latency lower bound for (structure, hw).
-#[derive(Serialize, Deserialize)]
-struct LbEntry {
-    sid: u32,
-    hw: HwParams,
-    cycles: u64,
-}
-
-/// A [`TopologyKey`] in portable form (fixed arrays become vectors —
-/// the vendored serde deserializes only into growable containers).
-#[derive(Serialize, Deserialize, PartialEq, Eq, PartialOrd, Ord)]
-struct TopoRecord {
-    classes: u16,
-    chiplets: Vec<u16>,
-    slots: Vec<(u8, u8)>,
-    n_chiplets: u8,
-}
-
-impl TopoRecord {
-    fn of(key: &TopologyKey) -> TopoRecord {
-        TopoRecord {
-            classes: key.classes,
-            chiplets: key.chiplets.to_vec(),
-            slots: key.slots.to_vec(),
-            n_chiplets: key.n_chiplets,
-        }
-    }
-
-    fn into_key(self) -> Result<TopologyKey, ClaireError> {
-        let chiplets: [u16; OpClass::COUNT] = self
-            .chiplets
-            .try_into()
-            .map_err(|_| invalid("topology key with wrong chiplet-mask count"))?;
-        let slots: [(u8, u8); OpClass::COUNT] = self
-            .slots
-            .try_into()
-            .map_err(|_| invalid("topology key with wrong slot count"))?;
-        Ok(TopologyKey {
-            classes: self.classes,
-            chiplets,
-            slots,
-            n_chiplets: self.n_chiplets,
-        })
-    }
-}
-
-/// One `comm` tier entry: the per-edge transfer costs of a model
-/// structure on a topology.
-#[derive(Serialize, Deserialize)]
-struct CommEntry {
-    sid: u32,
-    topo: TopoRecord,
-    /// `(ser_cycles, fixed_cycles, crosses_chiplet, noc_mpj, nop_mpj)`
-    /// per model edge — all fixed-point integers, so exact by nature.
-    costs: Vec<(u64, u64, bool, u64, u64)>,
-}
-
-/// One exact-tier Louvain entry: canonical graph+γ key words and the
-/// partition's communities.
-#[derive(Serialize, Deserialize)]
-struct LouvainEntry {
-    key: Vec<u64>,
-    communities: Vec<Vec<OpClass>>,
-}
-
-/// One warm-tier Louvain record: a certified γ-interval (bounds as
-/// `f64::to_bits`) and the partition it reproduces.
-#[derive(Serialize, Deserialize)]
-struct WarmRecord {
-    lo: u64,
-    hi: u64,
-    communities: Vec<Vec<OpClass>>,
-}
-
-/// All warm-tier records for one graph key.
-#[derive(Serialize, Deserialize)]
-struct WarmGroup {
-    key: Vec<u64>,
-    entries: Vec<WarmRecord>,
-}
-
-/// One universal-graph tier entry: the merged graph of a model set
-/// (weights as `f64::to_bits`); the CSR form is re-interned on load.
-#[derive(Serialize, Deserialize)]
-struct GraphEntry {
-    sids: Vec<u32>,
-    hw: HwParams,
-    nodes: Vec<(OpClass, u64)>,
-    edges: Vec<(OpClass, OpClass, u64)>,
-}
-
-/// The snapshot payload: every memo tier whose keys are canonical.
-/// `structures[i]` is the layer sequence of snapshot structural id
-/// `i`; structures are sorted by their JSON encoding, and every other
-/// section is sorted by its key, so equal tier *contents* produce
-/// equal *bytes* regardless of insertion order.
-#[derive(Serialize, Deserialize)]
-struct Payload {
-    structures: Vec<Vec<LayerKind>>,
-    layer_costs: Vec<CostEntry>,
-    areas: Vec<AreaEntry>,
-    sums: Vec<SumEntry>,
-    lbs: Vec<LbEntry>,
-    /// Route tables are lazily-filled `OnceLock` grids; persisting the
-    /// keys alone preserves the "which topologies exist" working set
-    /// while letting routes refill deterministically on first use.
-    routes: Vec<TopoRecord>,
-    comms: Vec<CommEntry>,
-    louvains: Vec<LouvainEntry>,
-    louvain_warm: Vec<WarmGroup>,
-    graphs: Vec<GraphEntry>,
-}
-
 // --- encoding -------------------------------------------------------------
 
-/// A canonical encoding of a layer sequence — the sort key that fixes
-/// structure order. `LayerKind` is not `Ord`, but its derived `Debug`
-/// is deterministic and injective (the enum is `Eq`, so all-integer),
-/// which is all a canonical order needs.
-fn kinds_sort_key(kinds: &[LayerKind]) -> String {
-    format!("{kinds:?}")
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
 }
 
-fn encode_partition(p: &Partition<OpClass>) -> Vec<Vec<OpClass>> {
-    p.communities().to_vec()
+fn put_len(out: &mut Vec<u8>, n: usize) {
+    put_varint(out, n as u64);
 }
 
-/// Validates and rebuilds a partition. [`Partition::from_communities`]
-/// panics on malformed input, so a corrupt snapshot must be caught
-/// here — before any engine state is touched.
-fn decode_partition(communities: Vec<Vec<OpClass>>) -> Result<Partition<OpClass>, ClaireError> {
-    let mut seen = std::collections::BTreeSet::new();
-    for c in &communities {
-        if c.is_empty() {
-            return Err(invalid("partition with an empty community"));
+fn put_f64(out: &mut Vec<u8>, v: f64) {
+    out.extend_from_slice(&v.to_bits().to_le_bytes());
+}
+
+fn put_u32s(out: &mut Vec<u8>, values: &[u32]) {
+    for &v in values {
+        put_varint(out, u64::from(v));
+    }
+}
+
+fn put_hw(out: &mut Vec<u8>, hw: &HwParams) {
+    put_u32s(out, &[hw.sa_size, hw.n_sa, hw.n_act, hw.n_pool]);
+}
+
+/// An op class is one tag byte: its [`OpClass::index`].
+fn put_class(out: &mut Vec<u8>, class: OpClass) {
+    out.push(class.index() as u8);
+}
+
+fn put_kind(out: &mut Vec<u8>, kind: &LayerKind) {
+    match kind {
+        LayerKind::Conv2d(c) => {
+            out.push(0);
+            put_u32s(
+                out,
+                &[
+                    c.in_channels,
+                    c.out_channels,
+                    c.kernel.0,
+                    c.kernel.1,
+                    c.stride.0,
+                    c.stride.1,
+                    c.padding.0,
+                    c.padding.1,
+                    c.ifm.0,
+                    c.ifm.1,
+                    c.groups,
+                ],
+            );
         }
-        for n in c {
-            if !seen.insert(*n) {
-                return Err(invalid("partition with a node in two communities"));
-            }
+        LayerKind::Conv1d(c) => {
+            out.push(1);
+            put_u32s(
+                out,
+                &[
+                    c.in_channels,
+                    c.out_channels,
+                    c.kernel,
+                    c.stride,
+                    c.padding,
+                    c.length,
+                ],
+            );
+        }
+        LayerKind::Linear(l) => {
+            out.push(2);
+            put_u32s(out, &[l.in_features, l.out_features, l.tokens]);
+        }
+        LayerKind::Activation(a) => {
+            out.push(3);
+            out.push(a.kind as u8);
+            put_varint(out, a.elements);
+        }
+        LayerKind::Pooling(p) => {
+            out.push(4);
+            out.push(p.kind as u8);
+            put_varint(out, p.input_elements);
+            put_varint(out, p.output_elements);
+        }
+        LayerKind::Flatten(f) => {
+            out.push(5);
+            put_varint(out, f.elements);
+        }
+        LayerKind::Permute(p) => {
+            out.push(6);
+            put_varint(out, p.elements);
         }
     }
-    Ok(Partition::from_communities(communities))
 }
 
-fn decode_finite(bits: u64, what: &str) -> Result<f64, ClaireError> {
-    let v = f64::from_bits(bits);
-    if !v.is_finite() {
-        return Err(invalid(format!("non-finite {what} in snapshot")));
+fn put_words(out: &mut Vec<u8>, words: &[u64]) {
+    put_len(out, words.len());
+    for &w in words {
+        put_varint(out, w);
     }
-    Ok(v)
+}
+
+fn put_topo(out: &mut Vec<u8>, key: &TopologyKey) {
+    put_varint(out, u64::from(key.classes));
+    put_len(out, key.chiplets.len());
+    for &mask in &key.chiplets {
+        put_varint(out, u64::from(mask));
+    }
+    put_len(out, key.slots.len());
+    for &(x, y) in &key.slots {
+        out.extend_from_slice(&[x, y]);
+    }
+    out.push(key.n_chiplets);
+}
+
+fn put_partition(out: &mut Vec<u8>, p: &Partition<OpClass>) {
+    put_len(out, p.communities().len());
+    for community in p.communities() {
+        put_len(out, community.len());
+        for &class in community {
+            put_class(out, class);
+        }
+    }
+}
+
+/// Appends one canonical section to `out`: the entry count, then every
+/// entry's encoding in ascending byte order, so the bytes do not depend
+/// on the order `entries` yields them. Returns the iteration indices
+/// of the entries in written order.
+fn put_section<T>(
+    out: &mut Vec<u8>,
+    entries: impl IntoIterator<Item = T>,
+    mut put: impl FnMut(&mut Vec<u8>, T),
+) -> Vec<usize> {
+    let mut buf = Vec::new();
+    let mut spans: Vec<(Range<usize>, usize)> = Vec::new();
+    for (i, entry) in entries.into_iter().enumerate() {
+        let start = buf.len();
+        put(&mut buf, entry);
+        spans.push((start..buf.len(), i));
+    }
+    spans.sort_unstable_by(|a, b| buf[a.0.clone()].cmp(&buf[b.0.clone()]));
+    put_len(out, spans.len());
+    out.reserve(buf.len());
+    spans
+        .into_iter()
+        .map(|(span, i)| {
+            out.extend_from_slice(&buf[span]);
+            i
+        })
+        .collect()
 }
 
 /// Serializes the engine's memo tiers into snapshot bytes (header +
-/// canonical JSON payload). Pure read: takes every tier lock briefly,
-/// never mutates.
-///
-/// # Errors
-///
-/// [`ClaireError::Internal`] if the payload fails to serialize — the
-/// schema contains only integers, booleans, and enums, so this cannot
-/// occur for any reachable engine state.
-pub(crate) fn encode(engine: &Engine) -> Result<Vec<u8>, ClaireError> {
-    // Canonical structural ids: sort interned structures by content
-    // encoding, then renumber. `old_to_new[old_sid] = snapshot_sid`.
-    let (structures, old_to_new) = {
+/// canonical binary payload). Pure read: takes every tier lock
+/// briefly, never mutates.
+pub(crate) fn encode(engine: &Engine) -> Vec<u8> {
+    // The header's length and checksum are patched in at the end.
+    let mut file = Vec::with_capacity(HEADER_LEN);
+    file.extend_from_slice(&MAGIC);
+    file.extend_from_slice(&BOM.to_le_bytes());
+    file.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    file.resize(HEADER_LEN, 0);
+
+    // Canonical structural ids: write structures in encoded-byte
+    // order, then renumber. `old_to_new[old_sid] = snapshot_sid`.
+    let old_to_new = {
         let models = read_lock(&engine.models);
-        let mut entries: Vec<(String, &[LayerKind], u32)> = models
+        let entries: Vec<(&[LayerKind], u32)> = models
             .by_content
             .iter()
-            .map(|(kinds, &sid)| (kinds_sort_key(kinds), kinds.as_ref(), sid))
+            .map(|(kinds, &sid)| (kinds.as_ref(), sid))
             .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut old_to_new = vec![u32::MAX; models.batches.len()];
-        let structures: Vec<Vec<LayerKind>> = entries
-            .iter()
-            .enumerate()
-            .map(|(new, (_, kinds, old))| {
-                old_to_new[*old as usize] = new as u32;
-                kinds.to_vec()
-            })
-            .collect();
-        (structures, old_to_new)
-    };
-    let renum = |old: u32| old_to_new[old as usize];
-
-    let mut layer_costs: Vec<CostEntry> = engine
-        .shards
-        .iter()
-        .flat_map(|shard| {
-            read_lock(shard)
-                .iter()
-                .map(|(k, c)| CostEntry {
-                    kind: k.key.0,
-                    hw: k.key.1,
-                    cycles: c.cycles,
-                    energy_pj: c.energy_pj.to_bits(),
-                    executions: c.executions,
-                })
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    layer_costs.sort_by(|a, b| {
-        kinds_sort_key(std::slice::from_ref(&a.kind))
-            .cmp(&kinds_sort_key(std::slice::from_ref(&b.kind)))
-            .then(a.hw.cmp(&b.hw))
-    });
-
-    let mut areas: Vec<AreaEntry> = read_lock(&engine.areas)
-        .iter()
-        .map(|(hw, table)| AreaEntry {
-            hw: *hw,
-            areas_mm2: table.iter().map(|a| a.to_bits()).collect(),
-        })
-        .collect();
-    areas.sort_by_key(|e| e.hw);
-
-    let mut sums: Vec<SumEntry> = read_lock(&engine.sums)
-        .iter()
-        .map(|(&(sid, hw), s)| SumEntry {
-            sid: renum(sid),
-            hw,
-            cycles: s.cycles,
-            energy_pj: s.energy_pj.to_bits(),
-        })
-        .collect();
-    sums.sort_by_key(|e| (e.sid, e.hw));
-
-    let mut lbs: Vec<LbEntry> = read_lock(&engine.lbs)
-        .iter()
-        .map(|(&(sid, hw), &cycles)| LbEntry {
-            sid: renum(sid),
-            hw,
-            cycles,
-        })
-        .collect();
-    lbs.sort_by_key(|e| (e.sid, e.hw));
-
-    let mut routes: Vec<TopoRecord> = read_lock(&engine.routes)
-        .keys()
-        .map(TopoRecord::of)
-        .collect();
-    routes.sort();
-
-    let mut comms: Vec<CommEntry> = read_lock(&engine.comms)
-        .iter()
-        .map(|((sid, topo), costs)| CommEntry {
-            sid: renum(*sid),
-            topo: TopoRecord::of(topo),
-            costs: costs
-                .iter()
-                .map(|t| {
-                    (
-                        t.ser_cycles,
-                        t.fixed_cycles,
-                        t.crosses_chiplet,
-                        t.noc_mpj,
-                        t.nop_mpj,
-                    )
-                })
-                .collect(),
-        })
-        .collect();
-    comms.sort_by(|a, b| (a.sid, &a.topo).cmp(&(b.sid, &b.topo)));
-
-    let mut louvains: Vec<LouvainEntry> = read_lock(&engine.louvains)
-        .iter()
-        .map(|(key, p)| LouvainEntry {
-            key: key.to_vec(),
-            communities: encode_partition(p),
-        })
-        .collect();
-    louvains.sort_by(|a, b| a.key.cmp(&b.key));
-
-    let mut louvain_warm: Vec<WarmGroup> = read_lock(&engine.louvain_warm)
-        .iter()
-        .map(|(key, entries)| {
-            let mut recs: Vec<WarmRecord> = entries
-                .iter()
-                .map(|e| WarmRecord {
-                    lo: e.lo.to_bits(),
-                    hi: e.hi.to_bits(),
-                    communities: encode_partition(&e.partition),
-                })
-                .collect();
-            recs.sort_by_key(|r| (r.lo, r.hi));
-            WarmGroup {
-                key: key.to_vec(),
-                entries: recs,
+        let order = put_section(&mut file, &entries, |out, (kinds, _)| {
+            put_len(out, kinds.len());
+            for kind in *kinds {
+                put_kind(out, kind);
             }
-        })
-        .collect();
-    louvain_warm.sort_by(|a, b| a.key.cmp(&b.key));
-
-    let mut graphs: Vec<GraphEntry> = read_lock(&engine.graphs)
-        .iter()
-        .map(|((sids, hw), ug)| GraphEntry {
-            // Graph-tier keys hold structural ids widened to u64; map
-            // them through the same renumbering as every other tier.
-            sids: sids.iter().map(|&s| renum(s as u32)).collect(),
-            hw: *hw,
-            nodes: ug.graph.nodes().map(|(n, w)| (*n, w.to_bits())).collect(),
-            edges: ug
-                .graph
-                .edges()
-                .map(|(a, b, w)| (*a, *b, w.to_bits()))
-                .collect(),
-        })
-        .collect();
-    graphs.sort_by(|a, b| (&a.sids, a.hw).cmp(&(&b.sids, b.hw)));
-
-    let payload = Payload {
-        structures,
-        layer_costs,
-        areas,
-        sums,
-        lbs,
-        routes,
-        comms,
-        louvains,
-        louvain_warm,
-        graphs,
+        });
+        let mut old_to_new = vec![u32::MAX; models.batches.len()];
+        for (new, i) in order.into_iter().enumerate() {
+            old_to_new[entries[i].1 as usize] = new as u32;
+        }
+        old_to_new
     };
-    let json = serde_json::to_string(&payload).map_err(|e| ClaireError::Internal {
-        detail: format!("snapshot payload failed to serialize: {e}"),
-    })?;
-    let body = json.into_bytes();
+    let renum = |old: u32| u64::from(old_to_new[old as usize]);
 
-    let mut out = Vec::with_capacity(HEADER_LEN + body.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&BOM.to_le_bytes());
-    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    Ok(out)
+    {
+        let shards: Vec<_> = engine.shards.iter().map(read_lock).collect();
+        put_section(
+            &mut file,
+            shards.iter().flat_map(|s| s.iter()),
+            |out, (k, c)| {
+                put_kind(out, &k.key.0);
+                put_hw(out, &k.key.1);
+                put_varint(out, c.cycles);
+                put_f64(out, c.energy_pj);
+                put_varint(out, c.executions);
+            },
+        );
+    }
+    put_section(
+        &mut file,
+        read_lock(&engine.areas).iter(),
+        |out, (hw, table)| {
+            put_hw(out, hw);
+            put_len(out, table.len());
+            for &area in table.iter() {
+                put_f64(out, area);
+            }
+        },
+    );
+    put_section(
+        &mut file,
+        read_lock(&engine.sums).iter(),
+        |out, (&(sid, hw), s)| {
+            put_varint(out, renum(sid));
+            put_hw(out, &hw);
+            put_varint(out, s.cycles);
+            put_f64(out, s.energy_pj);
+        },
+    );
+    put_section(
+        &mut file,
+        read_lock(&engine.lbs).iter(),
+        |out, (&(sid, hw), &cycles)| {
+            put_varint(out, renum(sid));
+            put_hw(out, &hw);
+            put_varint(out, cycles);
+        },
+    );
+    // Route tables are lazily-filled `OnceLock` grids; persisting the
+    // keys alone preserves the "which topologies exist" working set
+    // while letting routes refill deterministically on first use.
+    put_section(&mut file, read_lock(&engine.routes).keys(), put_topo);
+    put_section(
+        &mut file,
+        read_lock(&engine.comms).iter(),
+        |out, ((sid, topo), costs)| {
+            put_varint(out, renum(*sid));
+            put_topo(out, topo);
+            put_len(out, costs.len());
+            for t in costs.iter() {
+                put_varint(out, t.ser_cycles);
+                put_varint(out, t.fixed_cycles);
+                out.push(u8::from(t.crosses_chiplet));
+                put_varint(out, t.noc_mpj);
+                put_varint(out, t.nop_mpj);
+            }
+        },
+    );
+    put_section(
+        &mut file,
+        read_lock(&engine.louvains).iter(),
+        |out, (key, p)| {
+            put_words(out, key);
+            put_partition(out, p);
+        },
+    );
+    put_section(
+        &mut file,
+        read_lock(&engine.louvain_warm).iter(),
+        |out, (key, entries)| {
+            put_words(out, key);
+            put_section(out, entries, |out, e| {
+                put_f64(out, e.lo);
+                put_f64(out, e.hi);
+                put_partition(out, &e.partition);
+            });
+        },
+    );
+    put_section(
+        &mut file,
+        read_lock(&engine.graphs).iter(),
+        |out, ((sids, hw), ug)| {
+            // Graph-tier keys hold structural ids widened to u64; map them
+            // through the same renumbering as every other tier.
+            put_len(out, sids.len());
+            for &sid in sids.iter() {
+                put_varint(out, renum(sid as u32));
+            }
+            put_hw(out, hw);
+            put_len(out, ug.graph.node_count());
+            for (&class, w) in ug.graph.nodes() {
+                put_class(out, class);
+                put_f64(out, w);
+            }
+            put_len(out, ug.graph.edge_count());
+            for (&a, &b, w) in ug.graph.edges() {
+                put_class(out, a);
+                put_class(out, b);
+                put_f64(out, w);
+            }
+        },
+    );
+
+    let (header, payload) = file.split_at_mut(HEADER_LEN);
+    header[14..22].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    header[22..30].copy_from_slice(&fnv1a(payload).to_le_bytes());
+    file
 }
 
 // --- decoding -------------------------------------------------------------
@@ -475,6 +440,245 @@ struct Staged {
     louvains: Vec<StagedLouvain>,
     louvain_warm: Vec<(Box<[u64]>, Vec<WarmEntry>)>,
     graphs: Vec<(Vec<u32>, HwParams, Arc<UniversalCsr>)>,
+}
+
+/// The outcome of one decoding step.
+type Decoded<T> = Result<T, ClaireError>;
+
+/// A bounds-checked cursor over the payload. Every read fails with a
+/// typed error instead of running past the end.
+struct Reader<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.at
+    }
+
+    fn take(&mut self, n: usize) -> Decoded<&'a [u8]> {
+        if n > self.remaining() {
+            return Err(invalid(format!(
+                "payload ends inside a field at byte {}",
+                self.at
+            )));
+        }
+        let out = &self.bytes[self.at..self.at + n];
+        self.at += n;
+        Ok(out)
+    }
+
+    fn byte(&mut self) -> Decoded<u8> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn varint(&mut self) -> Decoded<u64> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.byte()?;
+            if shift == 63 && b > 1 {
+                break;
+            }
+            v |= u64::from(b & 0x7F) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(invalid(format!(
+            "varint overflows 64 bits at byte {}",
+            self.at
+        )))
+    }
+
+    fn u32(&mut self) -> Decoded<u32> {
+        let v = self.varint()?;
+        u32::try_from(v).map_err(|_| invalid(format!("integer {v} exceeds 32 bits")))
+    }
+
+    fn f64(&mut self) -> Decoded<f64> {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(self.take(8)?);
+        Ok(f64::from_bits(u64::from_le_bytes(w)))
+    }
+
+    /// A finite float — costs and areas are never NaN or infinite.
+    fn finite(&mut self, what: &str) -> Decoded<f64> {
+        let v = self.f64()?;
+        if !v.is_finite() {
+            return Err(invalid(format!("non-finite {what} in snapshot")));
+        }
+        Ok(v)
+    }
+
+    fn bool(&mut self) -> Decoded<bool> {
+        match self.byte()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(invalid(format!("boolean byte {b}"))),
+        }
+    }
+
+    /// A sequence length prefix, checked against the remaining bytes
+    /// (each element takes at least `min_bytes`) before any caller
+    /// allocates for it.
+    fn len(&mut self, min_bytes: usize) -> Decoded<usize> {
+        let n = self.varint()?;
+        let room = self.remaining() / min_bytes;
+        if n > room as u64 {
+            return Err(invalid(format!(
+                "length prefix {n} exceeds the {} bytes that remain",
+                self.remaining()
+            )));
+        }
+        Ok(n as usize)
+    }
+
+    /// A length-prefixed sequence of `item`s.
+    fn seq<T>(
+        &mut self,
+        min_bytes: usize,
+        mut item: impl FnMut(&mut Self) -> Decoded<T>,
+    ) -> Decoded<Vec<T>> {
+        let n = self.len(min_bytes)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Ok(out)
+    }
+
+    fn hw(&mut self) -> Decoded<HwParams> {
+        Ok(HwParams {
+            sa_size: self.u32()?,
+            n_sa: self.u32()?,
+            n_act: self.u32()?,
+            n_pool: self.u32()?,
+        })
+    }
+
+    fn class(&mut self) -> Decoded<OpClass> {
+        let tag = self.byte()?;
+        Ok(match tag {
+            0 => OpClass::Conv2d,
+            1 => OpClass::Conv1d,
+            2 => OpClass::Linear,
+            3..=7 => OpClass::Activation(ActivationKind::ALL[usize::from(tag - 3)]),
+            8..=12 => OpClass::Pooling(PoolingKind::ALL[usize::from(tag - 8)]),
+            13 => OpClass::Flatten,
+            14 => OpClass::Permute,
+            _ => return Err(invalid(format!("unknown op-class tag {tag}"))),
+        })
+    }
+
+    fn kind(&mut self) -> Decoded<LayerKind> {
+        let tag = self.byte()?;
+        Ok(match tag {
+            0 => LayerKind::Conv2d(Conv2d {
+                in_channels: self.u32()?,
+                out_channels: self.u32()?,
+                kernel: (self.u32()?, self.u32()?),
+                stride: (self.u32()?, self.u32()?),
+                padding: (self.u32()?, self.u32()?),
+                ifm: (self.u32()?, self.u32()?),
+                groups: self.u32()?,
+            }),
+            1 => LayerKind::Conv1d(Conv1d {
+                in_channels: self.u32()?,
+                out_channels: self.u32()?,
+                kernel: self.u32()?,
+                stride: self.u32()?,
+                padding: self.u32()?,
+                length: self.u32()?,
+            }),
+            2 => LayerKind::Linear(Linear {
+                in_features: self.u32()?,
+                out_features: self.u32()?,
+                tokens: self.u32()?,
+            }),
+            3 => {
+                let t = self.byte()?;
+                let kind = *ActivationKind::ALL
+                    .get(usize::from(t))
+                    .ok_or_else(|| invalid(format!("unknown activation tag {t}")))?;
+                LayerKind::Activation(Activation {
+                    kind,
+                    elements: self.varint()?,
+                })
+            }
+            4 => {
+                let t = self.byte()?;
+                let kind = *PoolingKind::ALL
+                    .get(usize::from(t))
+                    .ok_or_else(|| invalid(format!("unknown pooling tag {t}")))?;
+                LayerKind::Pooling(Pooling {
+                    kind,
+                    input_elements: self.varint()?,
+                    output_elements: self.varint()?,
+                })
+            }
+            5 => LayerKind::Flatten(Flatten {
+                elements: self.varint()?,
+            }),
+            6 => LayerKind::Permute(Permute {
+                elements: self.varint()?,
+            }),
+            _ => return Err(invalid(format!("unknown layer tag {tag}"))),
+        })
+    }
+
+    fn words(&mut self) -> Decoded<Box<[u64]>> {
+        Ok(self.seq(1, Self::varint)?.into_boxed_slice())
+    }
+
+    fn topo(&mut self) -> Decoded<TopologyKey> {
+        let classes = self.varint()?;
+        let classes = u16::try_from(classes)
+            .map_err(|_| invalid(format!("topology class mask {classes} exceeds 16 bits")))?;
+        if self.len(1)? != OpClass::COUNT {
+            return Err(invalid("topology key with wrong chiplet-mask count"));
+        }
+        let mut chiplets = [0u16; OpClass::COUNT];
+        for mask in &mut chiplets {
+            let v = self.varint()?;
+            *mask = u16::try_from(v)
+                .map_err(|_| invalid(format!("chiplet mask {v} exceeds 16 bits")))?;
+        }
+        if self.len(2)? != OpClass::COUNT {
+            return Err(invalid("topology key with wrong slot count"));
+        }
+        let mut slots = [(0u8, 0u8); OpClass::COUNT];
+        for slot in &mut slots {
+            *slot = (self.byte()?, self.byte()?);
+        }
+        Ok(TopologyKey {
+            classes,
+            chiplets,
+            slots,
+            n_chiplets: self.byte()?,
+        })
+    }
+
+    /// Validates and rebuilds a partition. [`Partition::from_communities`]
+    /// panics on malformed input, so a corrupt snapshot must be caught
+    /// here — before any engine state is touched.
+    fn partition(&mut self) -> Decoded<Partition<OpClass>> {
+        let communities = self.seq(1, |r| r.seq(1, Self::class))?;
+        let mut seen = 0u16;
+        for community in &communities {
+            if community.is_empty() {
+                return Err(invalid("partition with an empty community"));
+            }
+            for class in community {
+                let bit = 1u16 << class.index();
+                if seen & bit != 0 {
+                    return Err(invalid("partition with a node in two communities"));
+                }
+                seen |= bit;
+            }
+        }
+        Ok(Partition::from_communities(communities))
+    }
 }
 
 /// Parses and validates snapshot bytes into staged tier contents.
@@ -519,158 +723,99 @@ fn decode(bytes: &[u8]) -> Result<Staged, ClaireError> {
     if fnv1a(body) != checksum {
         return Err(invalid("payload checksum mismatch"));
     }
-    let payload: Payload =
-        serde_json::from_slice(body).map_err(|e| invalid(format!("payload parse failed: {e}")))?;
 
-    let n = payload.structures.len() as u32;
-    let check_sid = |sid: u32| {
+    // Sections in encoding order. Each `seq` names the fewest bytes
+    // one of its elements encodes to, which bounds its length prefix.
+    let mut r = Reader { bytes: body, at: 0 };
+    let structures = r.seq(1, |r| Ok(r.seq(2, Reader::kind)?.into_boxed_slice()))?;
+    let n = structures.len() as u32;
+    let sid = |r: &mut Reader<'_>| {
+        let sid = r.u32()?;
         if sid < n {
             Ok(sid)
         } else {
             Err(invalid(format!("structural id {sid} out of range (< {n})")))
         }
     };
-
-    let structures: Vec<Box<[LayerKind]>> = payload
-        .structures
-        .into_iter()
-        .map(|kinds| kinds.into_boxed_slice())
-        .collect();
-
-    let layer_costs = payload
-        .layer_costs
-        .into_iter()
-        .map(|e| {
-            Ok((
-                e.kind,
-                e.hw,
-                LayerCost {
-                    cycles: e.cycles,
-                    energy_pj: decode_finite(e.energy_pj, "layer-cost energy")?,
-                    executions: e.executions,
-                },
-            ))
-        })
-        .collect::<Result<Vec<_>, ClaireError>>()?;
-
-    let areas = payload
-        .areas
-        .into_iter()
-        .map(|e| {
-            if e.areas_mm2.len() != OpClass::COUNT {
-                return Err(invalid(format!(
-                    "area table with {} classes (expected {})",
-                    e.areas_mm2.len(),
-                    OpClass::COUNT
-                )));
-            }
-            let mut table = [0.0f64; OpClass::COUNT];
-            for (slot, bits) in table.iter_mut().zip(e.areas_mm2) {
-                *slot = decode_finite(bits, "unit area")?;
-            }
-            Ok((e.hw, Arc::new(table)))
-        })
-        .collect::<Result<Vec<_>, ClaireError>>()?;
-
-    let sums = payload
-        .sums
-        .into_iter()
-        .map(|e| {
-            Ok((
-                check_sid(e.sid)?,
-                e.hw,
-                ComputeSum {
-                    cycles: e.cycles,
-                    energy_pj: decode_finite(e.energy_pj, "compute-sum energy")?,
-                },
-            ))
-        })
-        .collect::<Result<Vec<_>, ClaireError>>()?;
-
-    let lbs = payload
-        .lbs
-        .into_iter()
-        .map(|e| Ok((check_sid(e.sid)?, e.hw, e.cycles)))
-        .collect::<Result<Vec<_>, ClaireError>>()?;
-
-    let routes = payload
-        .routes
-        .into_iter()
-        .map(TopoRecord::into_key)
-        .collect::<Result<Vec<_>, ClaireError>>()?;
-
-    let comms = payload
-        .comms
-        .into_iter()
-        .map(|e| {
-            let costs: Arc<[TransferCost]> = e
-                .costs
-                .into_iter()
-                .map(
-                    |(ser_cycles, fixed_cycles, crosses_chiplet, noc_mpj, nop_mpj)| TransferCost {
-                        ser_cycles,
-                        fixed_cycles,
-                        crosses_chiplet,
-                        noc_mpj,
-                        nop_mpj,
-                    },
-                )
-                .collect();
-            Ok((check_sid(e.sid)?, e.topo.into_key()?, costs))
-        })
-        .collect::<Result<Vec<_>, ClaireError>>()?;
-
-    let louvains = payload
-        .louvains
-        .into_iter()
-        .map(|e| {
-            Ok((
-                e.key.into_boxed_slice(),
-                Arc::new(decode_partition(e.communities)?),
-            ))
-        })
-        .collect::<Result<Vec<_>, ClaireError>>()?;
-
-    let louvain_warm = payload
-        .louvain_warm
-        .into_iter()
-        .map(|g| {
-            let entries = g
-                .entries
-                .into_iter()
-                .map(|r| {
-                    Ok(WarmEntry {
-                        lo: f64::from_bits(r.lo),
-                        hi: f64::from_bits(r.hi),
-                        partition: Arc::new(decode_partition(r.communities)?),
-                    })
-                })
-                .collect::<Result<Vec<_>, ClaireError>>()?;
-            Ok((g.key.into_boxed_slice(), entries))
-        })
-        .collect::<Result<Vec<_>, ClaireError>>()?;
-
-    let graphs = payload
-        .graphs
-        .into_iter()
-        .map(|e| {
-            let sids = e
-                .sids
-                .iter()
-                .map(|&s| check_sid(s))
-                .collect::<Result<Vec<_>, ClaireError>>()?;
-            let graph = WeightedGraph::from_parts(
-                e.nodes
-                    .into_iter()
-                    .map(|(n, bits)| (n, f64::from_bits(bits))),
-                e.edges
-                    .into_iter()
-                    .map(|(a, b, bits)| (a, b, f64::from_bits(bits))),
-            );
-            let csr = CsrGraph::from_weighted(&graph);
-            Ok((sids, e.hw, Arc::new(UniversalCsr { graph, csr })))
-        })
-        .collect::<Result<Vec<_>, ClaireError>>()?;
+    let layer_costs = r.seq(16, |r| {
+        Ok((
+            r.kind()?,
+            r.hw()?,
+            LayerCost {
+                cycles: r.varint()?,
+                energy_pj: r.finite("layer-cost energy")?,
+                executions: r.varint()?,
+            },
+        ))
+    })?;
+    let areas = r.seq(5, |r| {
+        let hw = r.hw()?;
+        let count = r.len(8)?;
+        if count != OpClass::COUNT {
+            return Err(invalid(format!(
+                "area table with {count} classes (expected {})",
+                OpClass::COUNT
+            )));
+        }
+        let mut table = [0.0f64; OpClass::COUNT];
+        for slot in &mut table {
+            *slot = r.finite("unit area")?;
+        }
+        Ok((hw, Arc::new(table)))
+    })?;
+    let sums = r.seq(14, |r| {
+        Ok((
+            sid(r)?,
+            r.hw()?,
+            ComputeSum {
+                cycles: r.varint()?,
+                energy_pj: r.finite("compute-sum energy")?,
+            },
+        ))
+    })?;
+    let lbs = r.seq(6, |r| Ok((sid(r)?, r.hw()?, r.varint()?)))?;
+    let routes = r.seq(49, Reader::topo)?;
+    let comms = r.seq(51, |r| {
+        let s = sid(r)?;
+        let topo = r.topo()?;
+        let costs = r.seq(5, |r| {
+            Ok(TransferCost {
+                ser_cycles: r.varint()?,
+                fixed_cycles: r.varint()?,
+                crosses_chiplet: r.bool()?,
+                noc_mpj: r.varint()?,
+                nop_mpj: r.varint()?,
+            })
+        })?;
+        Ok((s, topo, Arc::from(costs)))
+    })?;
+    let louvains = r.seq(2, |r| Ok((r.words()?, Arc::new(r.partition()?))))?;
+    let louvain_warm = r.seq(2, |r| {
+        let key = r.words()?;
+        let entries = r.seq(17, |r| {
+            Ok(WarmEntry {
+                lo: r.f64()?,
+                hi: r.f64()?,
+                partition: Arc::new(r.partition()?),
+            })
+        })?;
+        Ok((key, entries))
+    })?;
+    let graphs = r.seq(7, |r| {
+        let sids = r.seq(1, sid)?;
+        let hw = r.hw()?;
+        let nodes = r.seq(9, |r| Ok((r.class()?, r.f64()?)))?;
+        let edges = r.seq(10, |r| Ok((r.class()?, r.class()?, r.f64()?)))?;
+        let graph = WeightedGraph::from_parts(nodes, edges);
+        let csr = CsrGraph::from_weighted(&graph);
+        Ok((sids, hw, Arc::new(UniversalCsr { graph, csr })))
+    })?;
+    if r.remaining() != 0 {
+        return Err(invalid(format!(
+            "{} trailing bytes after the payload",
+            r.remaining()
+        )));
+    }
 
     Ok(Staged {
         structures,
@@ -774,10 +919,13 @@ fn apply(engine: &Engine, staged: Staged) {
 impl Engine {
     /// Writes the engine's memo tiers to `path` as a versioned
     /// snapshot, atomically (write to a sibling temp file, then
-    /// rename). Returns `false` — without writing — when the engine
-    /// cannot produce a reusable snapshot: cache disabled (nothing to
-    /// save) or a fault plan armed (faulted routes and evaluations
-    /// must not leak into healthy runs).
+    /// rename), and moves the persisted mark to the tiers it wrote.
+    /// Always writes when eligible; the clean-save skip lives in
+    /// [`Claire::save_warm_state`](crate::Claire::save_warm_state).
+    /// Returns `false` — without writing — when the engine cannot
+    /// produce a reusable snapshot: cache disabled (nothing to save)
+    /// or a fault plan armed (faulted routes and evaluations must not
+    /// leak into healthy runs).
     ///
     /// # Errors
     ///
@@ -788,7 +936,10 @@ impl Engine {
             return Ok(false);
         }
         let _span = self.telemetry().span("snapshot.save", "persist");
-        let bytes = encode(self)?;
+        // Taken before encoding: an entry inserted concurrently with
+        // the encode leaves the mark stale, so the next save writes.
+        let signature = self.tier_signature();
+        let bytes = encode(self);
         // The temp name is unique per (process, write): two writers
         // sharing one cache dir each rename a *complete* file into
         // place, so the loser can at worst overwrite the winner with
@@ -801,6 +952,7 @@ impl Engine {
             let _ = std::fs::remove_file(&tmp);
         }
         result.map_err(|e| invalid(format!("write failed: {e}")))?;
+        *write_lock(&self.persisted) = Some(signature);
         Ok(true)
     }
 
@@ -808,7 +960,9 @@ impl Engine {
     /// Returns `false` — without reading — when the file does not
     /// exist (a first run is not an error) or when the engine is not
     /// eligible (cache disabled, fault plan armed). Existing live
-    /// entries are never overwritten.
+    /// entries are never overwritten. A load into an engine whose
+    /// tiers were empty sets the persisted mark: the tiers then equal
+    /// the file.
     ///
     /// # Errors
     ///
@@ -829,8 +983,20 @@ impl Engine {
         };
         let _span = self.telemetry().span("snapshot.load", "persist");
         let staged = decode(&bytes)?;
+        let was_empty = self.tiers_empty();
         apply(self, staged);
+        if was_empty {
+            *write_lock(&self.persisted) = Some(self.tier_signature());
+        }
         Ok(true)
+    }
+
+    /// Whether the memo tiers are unchanged since the persisted mark:
+    /// the last successful [`save_snapshot`](Engine::save_snapshot),
+    /// or a [`load_snapshot`](Engine::load_snapshot) into empty tiers.
+    /// `false` when neither has happened yet.
+    pub fn tiers_persisted(&self) -> bool {
+        *read_lock(&self.persisted) == Some(self.tier_signature())
     }
 
     /// The snapshot encoding of the current tiers, for byte-identity
@@ -838,10 +1004,9 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`ClaireError::Internal`] — see [`save_snapshot`](Engine::save_snapshot);
-    /// unreachable for any engine state this crate constructs.
+    /// Never fails today; the `Result` keeps the signature stable.
     pub fn snapshot_bytes(&self) -> Result<Vec<u8>, ClaireError> {
-        encode(self)
+        Ok(encode(self))
     }
 }
 
@@ -858,20 +1023,101 @@ mod tests {
     }
 
     #[test]
+    fn varints_round_trip_at_every_width() {
+        for v in [
+            0,
+            1,
+            0x7F,
+            0x80,
+            0x3FFF,
+            0x4000,
+            u64::from(u32::MAX),
+            u64::MAX,
+        ] {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, v);
+            let mut r = Reader { bytes: &buf, at: 0 };
+            assert_eq!(r.varint().expect("decodes"), v);
+            assert_eq!(r.remaining(), 0, "{v} left bytes behind");
+        }
+        // Eleven continuation bytes overflow 64 bits.
+        let mut r = Reader {
+            bytes: &[0xFF; 11],
+            at: 0,
+        };
+        assert!(r.varint().is_err());
+    }
+
+    #[test]
+    fn every_op_class_tag_round_trips() {
+        for class in OpClass::all() {
+            let mut buf = Vec::new();
+            put_class(&mut buf, class);
+            let mut r = Reader { bytes: &buf, at: 0 };
+            assert_eq!(r.class().expect("decodes"), class);
+        }
+    }
+
+    #[test]
+    fn oversized_length_prefix_is_rejected_before_allocating() {
+        let mut buf = Vec::new();
+        put_varint(&mut buf, u64::MAX >> 1);
+        let mut r = Reader { bytes: &buf, at: 0 };
+        let err = r.seq(1, Reader::byte).unwrap_err();
+        assert!(err.to_string().contains("length prefix"), "{err}");
+    }
+
+    #[test]
+    fn malformed_partitions_are_rejected_before_rebuilding() {
+        // Conv2d in two communities: `Partition::from_communities`
+        // would panic on it.
+        let mut buf = Vec::new();
+        put_len(&mut buf, 2);
+        for community in [&[OpClass::Conv2d, OpClass::Linear][..], &[OpClass::Conv2d]] {
+            put_len(&mut buf, community.len());
+            for &class in community {
+                put_class(&mut buf, class);
+            }
+        }
+        let err = Reader { bytes: &buf, at: 0 }.partition().unwrap_err();
+        assert!(err.to_string().contains("two communities"), "{err}");
+
+        let err = Reader {
+            bytes: &[1, 0],
+            at: 0,
+        }
+        .partition()
+        .unwrap_err();
+        assert!(err.to_string().contains("empty community"), "{err}");
+    }
+
+    #[test]
+    fn trailing_payload_bytes_are_rejected() {
+        let mut bytes = encode(&Engine::new(1));
+        bytes.push(0);
+        let payload_len = (bytes.len() - HEADER_LEN) as u64;
+        bytes[14..22].copy_from_slice(&payload_len.to_le_bytes());
+        let checksum = fnv1a(&bytes[HEADER_LEN..]);
+        bytes[22..30].copy_from_slice(&checksum.to_le_bytes());
+        let err = decode(&bytes).unwrap_err();
+        assert!(err.to_string().contains("trailing"), "{err}");
+    }
+
+    #[test]
     fn empty_engine_round_trips() {
         let engine = Engine::new(1);
-        let bytes = encode(&engine).expect("encode");
+        let bytes = encode(&engine);
         let staged = decode(&bytes).expect("fresh snapshot decodes");
         assert!(staged.structures.is_empty());
         let again = Engine::new(1);
         apply(&again, staged);
-        assert_eq!(encode(&again).expect("encode"), bytes);
+        assert_eq!(encode(&again), bytes);
     }
 
     #[test]
     fn header_corruptions_are_typed() {
         let engine = Engine::new(1);
-        let bytes = encode(&engine).expect("encode");
+        let bytes = encode(&engine);
 
         // Truncated below the header.
         let err = decode(&bytes[..10]).unwrap_err();

@@ -249,3 +249,80 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+/// FNV-1a 64 over `bytes` — the envelope checksum, recomputed so a
+/// mutated payload passes the header checks and reaches the decoder.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Header length: magic + BOM + version + payload length + checksum.
+const HEADER_LEN: usize = 30;
+
+/// A valid snapshot of a warmed engine, built once for every case.
+fn valid_snapshot() -> &'static [u8] {
+    static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+    BYTES.get_or_init(|| {
+        let engine = Engine::new(1);
+        Claire::new(ClaireOptions::default())
+            .custom_for_with_engine(&zoo::alexnet(), &engine)
+            .expect("warm custom");
+        engine.snapshot_bytes().expect("encode")
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A payload with flipped or truncated bytes but a re-stamped,
+    /// self-consistent envelope either loads or is rejected with a
+    /// typed `SnapshotInvalid`. It never panics, and a rejected load
+    /// leaves the engine exactly as it was.
+    #[test]
+    fn mutated_payloads_load_or_reject_typed(
+        flips in proptest::collection::vec((0usize..1 << 30, 1u8..255, 0u8..4), 0..6),
+        cut in (0u8..2, 0usize..1 << 30),
+    ) {
+        let valid = valid_snapshot();
+        let mut payload = valid[HEADER_LEN..].to_vec();
+        let len = payload.len();
+        for (at, byte, mode) in flips {
+            match mode {
+                // XOR anywhere.
+                0 => payload[at % len] ^= byte,
+                // XOR in the first 256 bytes: section counts and the
+                // first length prefixes.
+                1 => payload[at % len.min(256)] ^= byte,
+                // A small value — a plausible tag, op class or length —
+                // in the last 2 KiB, where partitions and graphs live.
+                2 => payload[len - 1 - at % len.min(2048)] = byte % 16,
+                // A small value anywhere.
+                _ => payload[at % len] = byte % 16,
+            }
+        }
+        if cut.0 == 1 {
+            payload.truncate(cut.1 % payload.len());
+        }
+        let mut bytes = valid[..HEADER_LEN].to_vec();
+        bytes[14..22].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes[22..30].copy_from_slice(&fnv1a(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+
+        let dir = scratch("mutate");
+        let path = dir.join("claire.snapshot");
+        std::fs::write(&path, &bytes).expect("write");
+        let engine = Engine::new(1);
+        let untouched = engine.snapshot_bytes().expect("encode empty");
+        match engine.load_snapshot(&path) {
+            Ok(loaded) => prop_assert!(loaded),
+            Err(ClaireError::SnapshotInvalid { .. }) => {
+                prop_assert_eq!(&engine.snapshot_bytes().expect("encode"), &untouched);
+                prop_assert!(!engine.tiers_persisted());
+            }
+            Err(other) => prop_assert!(false, "untyped rejection: {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
