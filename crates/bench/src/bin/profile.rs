@@ -870,13 +870,6 @@ fn main() {
         flow_stats.comm_entries
     );
     println!(
-        "louvain warm tier: {} hits / {} misses ({:.1} % hit rate, {} entries)",
-        flow_stats.louvain_warm_hits,
-        flow_stats.louvain_warm_misses,
-        100.0 * flow_stats.louvain_warm_hit_rate(),
-        flow_stats.louvain_warm_entries
-    );
-    println!(
         "merged graph builds: {}; graph tier cold hit rate {:.1} %",
         flow_stats.merged_graph_builds,
         100.0 * graph_cold_hit_rate
@@ -972,14 +965,6 @@ fn main() {
                         flow_stats.comm_hits,
                         flow_stats.comm_misses,
                         flow_stats.comm_entries,
-                    ),
-                ),
-                (
-                    "louvain_warm_tier",
-                    tier(
-                        flow_stats.louvain_warm_hits,
-                        flow_stats.louvain_warm_misses,
-                        flow_stats.louvain_warm_entries,
                     ),
                 ),
                 (
@@ -1296,14 +1281,6 @@ fn tiers(s: &EngineStats) -> Value {
         ("graph", tier(s.graph_hits, s.graph_misses, s.graph_entries)),
         ("area", tier(s.area_hits, s.area_misses, s.area_entries)),
         ("comm", tier(s.comm_hits, s.comm_misses, s.comm_entries)),
-        (
-            "louvain_warm",
-            tier(
-                s.louvain_warm_hits,
-                s.louvain_warm_misses,
-                s.louvain_warm_entries,
-            ),
-        ),
         ("lb", tier(s.lb_hits, s.lb_misses, s.lb_entries)),
     ])
 }

@@ -44,7 +44,7 @@
 //! down. See [`crate::args::USAGE`].
 
 use crate::summary::CustomSummary;
-use claire_core::telemetry::{Gauge, Metric};
+use claire_core::telemetry::Metric;
 use claire_core::{
     ClaireError, ClaireOptions, Constraints, CustomRequest, FaultClass, FaultPlan, LifecycleEvent,
     LifecycleStage, ResidentEngine, RobustnessPolicy,
@@ -262,7 +262,7 @@ impl ServerState {
         let Some(path) = &self.resident.options().telemetry.metrics_out else {
             return;
         };
-        let rendered = serde_json::to_string_pretty(&self.telemetry().metrics_value())
+        let rendered = serde_json::to_string_pretty(&self.resident.engine().metrics_value())
             .unwrap_or_else(|_| "null".into());
         if let Err(e) = write_atomic(path, rendered.as_bytes()) {
             eprintln!("warning: failed to write metrics {}: {e}", path.display());
@@ -820,24 +820,8 @@ fn stats_response(state: &ServerState, request: &Request, trace: u64) -> Value {
     let telemetry = state.telemetry();
     let observer = state.resident.observer();
     let now_us = state.now_us();
-    let counters: Vec<(String, Value)> = Metric::ALL
-        .iter()
-        .map(|&m| {
-            (
-                m.name().to_owned(),
-                Value::Number(Number::PosInt(telemetry.counter(m))),
-            )
-        })
-        .collect();
-    let gauges: Vec<(String, Value)> = Gauge::ALL
-        .iter()
-        .map(|&g| {
-            (
-                g.name().to_owned(),
-                Value::Number(Number::PosInt(telemetry.gauge(g))),
-            )
-        })
-        .collect();
+    let metrics = state.resident.engine().metrics_value();
+    let section = |name: &str| metrics.get(name).cloned().unwrap_or(Value::Null);
     let (requests, sheds, expiries) = observer.rates(now_us);
     let (_, flight_total, flight_evicted) = observer.flight_events();
     let stats = serde_json::json!({
@@ -846,8 +830,8 @@ fn stats_response(state: &ServerState, request: &Request, trace: u64) -> Value {
         "queue_depth": lock(&state.queue).len() as u64,
         "in_flight": state.inflight.load(Ordering::Relaxed),
         "snapshot_generation": state.resident.checkpoint_generation(),
-        "counters": Value::Object(counters),
-        "gauges": Value::Object(gauges),
+        "counters": section("counters"),
+        "gauges": section("gauges"),
         "quantiles": serde_json::json!({
             "queue_wait_us": observer.queue_wait_summary().to_value(),
             "latency_us": observer.latency_summary().to_value(),

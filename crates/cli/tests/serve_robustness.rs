@@ -583,6 +583,38 @@ fn stats_is_answered_mid_serve_and_counters_stay_monotone() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn live_stats_gauges_match_the_exported_metrics() {
+    let dir = scratch("gauges");
+    let socket = dir.join("claire.sock");
+    let metrics = dir.join("metrics.json");
+    let mut server = spawn_listening(
+        &socket,
+        &["--metrics-json", metrics.to_str().expect("utf8")],
+    );
+    let answer = round_trip(
+        &socket,
+        "{\"id\":1,\"op\":\"custom\",\"model\":\"Alexnet\"}",
+    )
+    .expect("answered");
+    assert_eq!(answer["ok"].as_bool(), Some(true), "{answer}");
+
+    // The server is quiescent now: nothing can grow a memo tier between
+    // this probe and the export at exit, so the two must agree exactly.
+    let probe = round_trip(&socket, "{\"op\":\"stats\"}").expect("stats answered");
+    let live = &probe["stats"]["gauges"];
+    assert!(
+        live["memo.layer.entries"].as_u64().expect("gauge") > 0,
+        "live stats report an empty layer tier: {live}"
+    );
+    assert_eq!(terminate(&mut server).code(), Some(0));
+    let exported: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&metrics).expect("metrics written"))
+            .expect("metrics are JSON");
+    assert_eq!(live, &exported["gauges"]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Runs `serve` over stdin with `extra` args, feeds it `input`, and
 /// returns its stdout lines sorted (batch composition — and therefore
 /// delivery order — may differ run to run; the per-request bytes must

@@ -25,7 +25,7 @@ use crate::config::{monolithic_area_mm2, DesignConfig};
 use crate::evaluate::{ComputeSum, CostProvider, RouteTable, TransferCost};
 use crate::fault::FaultPlan;
 use crate::telemetry::{self, ArgValue, Gauge, Metric, Telemetry, WorkerSample};
-use claire_graph::{louvain_csr_certified, louvain_csr_counted, CsrGraph, Partition};
+use claire_graph::{louvain_csr_counted, CsrGraph, Partition};
 use claire_model::{LayerKind, OpClass};
 use claire_ppa::{layer_cost, unit_area_mm2, DseSpace, HwParams, LayerBatch, LayerCost};
 use std::collections::{BTreeSet, HashMap};
@@ -189,11 +189,9 @@ pub struct EngineStats {
     pub comm_misses: u64,
     /// Distinct (model structure, topology) edge-cost sequences cached.
     pub comm_entries: usize,
-    /// Louvain partitions served from a certified warm-start interval.
-    pub louvain_warm_hits: u64,
-    /// Warm-tier consultations that had to cluster fresh.
-    pub louvain_warm_misses: u64,
-    /// Distinct graphs with certified warm-start entries cached.
+    /// Always 0: the Louvain warm-start tier was deleted because it
+    /// took no hits. The field stays because the benchmark runner
+    /// (`perfbench`) still sums it into its memo entry count.
     pub louvain_warm_entries: usize,
     /// Multi-member universal graphs assembled from cached members.
     pub merged_graph_builds: u64,
@@ -254,11 +252,6 @@ impl EngineStats {
     /// Communication edge-cost tier hit rate in `[0, 1]`.
     pub fn comm_hit_rate(&self) -> f64 {
         ratio(self.comm_hits, self.comm_misses)
-    }
-
-    /// Louvain warm-start tier hit rate in `[0, 1]`.
-    pub fn louvain_warm_hit_rate(&self) -> f64 {
-        ratio(self.louvain_warm_hits, self.louvain_warm_misses)
     }
 
     /// Fraction of DSE points the staged sweep pruned before full
@@ -369,14 +362,7 @@ impl std::fmt::Display for EngineStats {
             100.0 * self.comm_hit_rate(),
             self.comm_entries
         )?;
-        writeln!(
-            f,
-            "  louvain warm-start: {} hits / {} misses ({} entries); {} merged graph builds",
-            self.louvain_warm_hits,
-            self.louvain_warm_misses,
-            self.louvain_warm_entries,
-            self.merged_graph_builds
-        )?;
+        writeln!(f, "  merged graph builds: {}", self.merged_graph_builds)?;
         writeln!(
             f,
             "  latency lower bounds: {} hits / {} misses ({:.1} % hit rate, {} entries)",
@@ -436,9 +422,6 @@ pub struct Engine {
     pub(crate) routes: MemoMap<TopologyKey, Arc<RouteTable>>,
     pub(crate) sums: MemoMap<(u32, HwParams), ComputeSum>,
     pub(crate) louvains: MemoMap<Box<[u64]>, Arc<Partition<OpClass>>>,
-    /// Warm-start tier: per canonical graph (resolution-free key), the
-    /// certified γ-intervals of prior runs with their partitions.
-    pub(crate) louvain_warm: MemoMap<Box<[u64]>, Vec<WarmEntry>>,
     /// Universal-graph tier, keyed by the member models' structural
     /// ids (in member order) plus the hardware point.
     pub(crate) graphs: MemoMap<(Box<[u64]>, HwParams), Arc<UniversalCsr>>,
@@ -495,18 +478,6 @@ impl ModelInterner {
     }
 }
 
-/// One warm-start record: a certified open γ-interval and the
-/// partition every resolution strictly inside it provably reproduces
-/// (see [`claire_graph::GammaInterval`]). Entries for one graph may
-/// overlap; any entry containing a resolution serves the identical
-/// partition, so lookup order never affects results.
-#[derive(Debug, Clone)]
-pub(crate) struct WarmEntry {
-    pub(crate) lo: f64,
-    pub(crate) hi: f64,
-    pub(crate) partition: Arc<Partition<OpClass>>,
-}
-
 /// A universal graph paired with its interned CSR form, as built and
 /// memoized by [`Engine::universal_csr`].
 #[derive(Debug, Clone)]
@@ -538,7 +509,6 @@ impl Engine {
             routes: RwLock::new(HashMap::default()),
             sums: RwLock::new(HashMap::default()),
             louvains: RwLock::new(HashMap::default()),
-            louvain_warm: RwLock::new(HashMap::default()),
             graphs: RwLock::new(HashMap::default()),
             comms: RwLock::new(HashMap::default()),
             areas: RwLock::new(HashMap::default()),
@@ -637,8 +607,8 @@ impl Engine {
     }
 
     /// Copies the current cache sizes and thread count into the
-    /// telemetry gauges (called before a metrics export so the
-    /// snapshot carries them).
+    /// telemetry gauges; [`Engine::metrics_value`] calls it so every
+    /// export reads them live.
     fn sync_gauges(&self) {
         let t = &self.telemetry;
         t.set_gauge(Gauge::Threads, self.threads as u64);
@@ -658,20 +628,14 @@ impl Engine {
         t.set_gauge(Gauge::GraphEntries, read_lock(&self.graphs).len() as u64);
         t.set_gauge(Gauge::AreaEntries, read_lock(&self.areas).len() as u64);
         t.set_gauge(Gauge::CommEntries, read_lock(&self.comms).len() as u64);
-        t.set_gauge(
-            Gauge::LouvainWarmEntries,
-            read_lock(&self.louvain_warm).len() as u64,
-        );
         t.set_gauge(Gauge::LbEntries, read_lock(&self.lbs).len() as u64);
         let interner = read_lock(&self.models);
         t.set_gauge(Gauge::StructEntries, interner.by_content.len() as u64);
         t.set_gauge(Gauge::StructInstances, interner.by_instance.len() as u64);
     }
 
-    /// Entry counts of every persisted memo tier, warm-start records
-    /// counted individually as well as by graph.
-    fn tier_counts(&self) -> [usize; 11] {
-        let warm = read_lock(&self.louvain_warm);
+    /// Entry counts of every persisted memo tier.
+    fn tier_counts(&self) -> [usize; 9] {
         [
             self.shards
                 .iter()
@@ -683,8 +647,6 @@ impl Engine {
             read_lock(&self.graphs).len(),
             read_lock(&self.areas).len(),
             read_lock(&self.comms).len(),
-            warm.len(),
-            warm.values().map(Vec::len).sum::<usize>(),
             read_lock(&self.lbs).len(),
             read_lock(&self.models).by_content.len(),
         ]
@@ -721,6 +683,16 @@ impl Engine {
         std::fs::write(path, format!("{json}\n"))
     }
 
+    /// The metrics snapshot (counters, gauges, histograms, stage
+    /// aggregates, per-worker utilization) as a JSON value, with the
+    /// gauges refreshed from the live memo tiers first. Every metrics
+    /// export — the `--metrics-json` file and `serve`'s in-band
+    /// `stats` — reads through here, so they agree.
+    pub fn metrics_value(&self) -> serde_json::Value {
+        self.sync_gauges();
+        self.telemetry.metrics_value()
+    }
+
     /// Writes the metrics snapshot (counters, gauges, histograms,
     /// stage aggregates, per-worker utilization) as JSON to `path`.
     ///
@@ -728,8 +700,7 @@ impl Engine {
     ///
     /// Propagates filesystem errors.
     pub fn write_metrics(&self, path: &std::path::Path) -> std::io::Result<()> {
-        self.sync_gauges();
-        let json = serde_json::to_string_pretty(&self.telemetry.metrics_value())
+        let json = serde_json::to_string_pretty(&self.metrics_value())
             .map_err(|e| std::io::Error::other(e.to_string()))?;
         std::fs::write(path, format!("{json}\n"))
     }
@@ -770,9 +741,7 @@ impl Engine {
             comm_hits: t.counter(Metric::CommHit),
             comm_misses: t.counter(Metric::CommMiss),
             comm_entries: read_lock(&self.comms).len(),
-            louvain_warm_hits: t.counter(Metric::LouvainWarmHit),
-            louvain_warm_misses: t.counter(Metric::LouvainWarmMiss),
-            louvain_warm_entries: read_lock(&self.louvain_warm).len(),
+            louvain_warm_entries: 0,
             merged_graph_builds: t.counter(Metric::MergedGraphBuilds),
             plan_items: t.counter(Metric::PlanItems),
             lb_hits: t.counter(Metric::LbHit),
@@ -926,85 +895,6 @@ impl Engine {
         Arc::clone(write_lock(&self.louvains).entry(key).or_insert(partition))
     }
 
-    /// [`Engine::louvain_partition`] for resolution-escalation loops:
-    /// consults the **exact tier** first (an O(1) hash probe — repeat
-    /// requests at an already-resolved γ, including replays across
-    /// processes from a warm-state snapshot, never re-scan
-    /// certificates), then the **warm-start tier** — certified
-    /// γ-intervals recorded by prior runs on the same canonical graph
-    /// (see [`claire_graph::louvain_csr_certified`]). A warm hit
-    /// returns a partition *provably* bit-identical to what a fresh
-    /// clustering at `resolution` would produce (any γ strictly inside
-    /// a certified interval reproduces the certified run's partition,
-    /// including the γ the certificate was recorded at), so results
-    /// never depend on cache state — and it is **published back into
-    /// the exact tier** under the exact `(graph, γ)` key, so repeat-γ
-    /// requests stop consulting the interval scan entirely. A miss on
-    /// both tiers clusters with certification and records the new
-    /// interval.
-    ///
-    /// The chiplet-count escalation loop re-clusters the same graph at
-    /// `γ, 1.5γ, 2.25γ, …`; on strongly clustered communication graphs
-    /// the certified interval typically spans several escalation
-    /// steps, so the re-runs collapse into lookups.
-    pub fn louvain_partition_escalating(
-        &self,
-        csr: &CsrGraph<OpClass>,
-        resolution: f64,
-    ) -> Arc<Partition<OpClass>> {
-        if !self.cache_enabled {
-            return Arc::new(self.cluster_csr(csr, resolution));
-        }
-        let exact_key = louvain_key(csr, resolution);
-        if let Some(p) = read_lock(&self.louvains).get(&exact_key) {
-            self.telemetry.count(Metric::LouvainHit);
-            return Arc::clone(p);
-        }
-        let graph_key = louvain_graph_key(csr);
-        if let Some(entries) = read_lock(&self.louvain_warm).get(&graph_key) {
-            if let Some(e) = entries
-                .iter()
-                .find(|e| resolution > e.lo && resolution < e.hi)
-            {
-                self.telemetry.count(Metric::LouvainWarmHit);
-                let p = Arc::clone(&e.partition);
-                // Publish into the exact tier so repeat-γ requests (and
-                // the non-escalating entry point) hit the hash probe.
-                write_lock(&self.louvains)
-                    .entry(exact_key)
-                    .or_insert_with(|| Arc::clone(&p));
-                return p;
-            }
-        }
-        self.telemetry.count(Metric::LouvainWarmMiss);
-        self.telemetry.count(Metric::LouvainMiss);
-        let (partition, cert) = self.cluster_csr_certified(csr, resolution);
-        let partition = Arc::new(partition);
-        if !cert.is_empty() {
-            let (lo, hi) = (cert.lo(), cert.hi());
-            let mut warm = write_lock(&self.louvain_warm);
-            let entries = warm.entry(graph_key).or_default();
-            // Racing derivations of the same γ produce identical
-            // certificates; keep one so the entry list (and hence a
-            // snapshot of it) never depends on scheduling.
-            if !entries
-                .iter()
-                .any(|e| e.lo.to_bits() == lo.to_bits() && e.hi.to_bits() == hi.to_bits())
-            {
-                entries.push(WarmEntry {
-                    lo,
-                    hi,
-                    partition: Arc::clone(&partition),
-                });
-            }
-        }
-        Arc::clone(
-            write_lock(&self.louvains)
-                .entry(exact_key)
-                .or_insert(partition),
-        )
-    }
-
     /// Runs the Louvain clustering kernel under a trace span, counting
     /// the local-move + aggregation rounds it took.
     fn cluster_csr(&self, csr: &CsrGraph<OpClass>, resolution: f64) -> Partition<OpClass> {
@@ -1015,23 +905,6 @@ impl Engine {
             .count_by(Metric::LouvainPasses, passes as u64);
         span.arg("passes", ArgValue::Int(passes as u64));
         partition
-    }
-
-    /// [`Engine::cluster_csr`] through the certified kernel: the
-    /// partition is bit-identical ([`louvain_csr_certified`]'s
-    /// contract); the certificate feeds the warm-start tier.
-    fn cluster_csr_certified(
-        &self,
-        csr: &CsrGraph<OpClass>,
-        resolution: f64,
-    ) -> (Partition<OpClass>, claire_graph::GammaInterval) {
-        let mut span = self.telemetry.span("louvain.cluster", "memo");
-        span.arg("nodes", ArgValue::Int(csr.node_count() as u64));
-        let (partition, passes, cert) = louvain_csr_certified(csr, resolution);
-        self.telemetry
-            .count_by(Metric::LouvainPasses, passes as u64);
-        span.arg("passes", ArgValue::Int(passes as u64));
-        (partition, cert)
     }
 
     /// Memoized universal-graph construction (Step #TR1) with CSR
@@ -1640,19 +1513,6 @@ impl TopologyKey {
 /// resolution. Degrees and `2m` are derived from these arrays and need
 /// no words of their own.
 fn louvain_key(csr: &CsrGraph<OpClass>, resolution: f64) -> Box<[u64]> {
-    let mut key = louvain_graph_key_vec(csr);
-    key.push(resolution.to_bits());
-    key.into_boxed_slice()
-}
-
-/// The resolution-free prefix of [`louvain_key`]: the canonical graph
-/// encoding alone, keying the warm-start tier (whose entries each carry
-/// their own certified resolution interval).
-fn louvain_graph_key(csr: &CsrGraph<OpClass>) -> Box<[u64]> {
-    louvain_graph_key_vec(csr).into_boxed_slice()
-}
-
-fn louvain_graph_key_vec(csr: &CsrGraph<OpClass>) -> Vec<u64> {
     let n = csr.node_count();
     let e = csr.targets().len();
     let mut key = Vec::with_capacity(2 + n * 3 + e * 2 + 2);
@@ -1662,7 +1522,8 @@ fn louvain_graph_key_vec(csr: &CsrGraph<OpClass>) -> Vec<u64> {
     key.extend(csr.targets().iter().map(|&t| u64::from(t)));
     key.extend(csr.weights().iter().map(|w| w.to_bits()));
     key.extend(csr.self_loops().iter().map(|w| w.to_bits()));
-    key
+    key.push(resolution.to_bits());
+    key.into_boxed_slice()
 }
 
 thread_local! {
@@ -1810,52 +1671,6 @@ mod tests {
             let want: Vec<u32> = (0..5).map(|y| x * 10 + y).collect();
             assert_eq!(row, &want);
         }
-    }
-
-    #[test]
-    fn warm_certificate_serves_distinct_gamma_and_publishes_exact() {
-        let engine = Engine::new(1);
-        let mut g = claire_graph::WeightedGraph::new();
-        // Two dense pairs bridged weakly — enough structure for a
-        // non-trivial γ-certificate around the query resolution.
-        g.add_edge(OpClass::Conv2d, OpClass::Linear, 8.0);
-        g.add_edge(OpClass::Conv1d, OpClass::Flatten, 8.0);
-        g.add_edge(OpClass::Linear, OpClass::Conv1d, 1.0);
-        let csr = CsrGraph::from_weighted(&g);
-
-        let base = engine.louvain_partition_escalating(&csr, 1.0);
-        let s = engine.stats();
-        assert_eq!((s.louvain_warm_hits, s.louvain_hits), (0, 0), "{s:?}");
-
-        // Read back the recorded certificate and pick a *distinct*
-        // resolution strictly inside it.
-        let (lo, hi) = {
-            let warm = read_lock(&engine.louvain_warm);
-            let entries = warm
-                .get(&louvain_graph_key(&csr))
-                .expect("derivation recorded a certificate");
-            (entries[0].lo, entries[0].hi)
-        };
-        let gamma = if hi.is_finite() {
-            (1.0 + hi) / 2.0
-        } else if lo.is_finite() {
-            1.0 + (1.0 - lo).abs() + 1.0
-        } else {
-            2.0
-        };
-        assert!(gamma > lo && gamma < hi && gamma != 1.0);
-
-        let served = engine.louvain_partition_escalating(&csr, gamma);
-        assert!(Arc::ptr_eq(&base, &served));
-        assert_eq!(engine.stats().louvain_warm_hits, 1);
-
-        // The warm hit published the resolved partition into the
-        // exact tier: the repeat-γ request is now a hash probe, not a
-        // certificate scan.
-        let again = engine.louvain_partition_escalating(&csr, gamma);
-        assert!(Arc::ptr_eq(&base, &again));
-        let s = engine.stats();
-        assert_eq!((s.louvain_warm_hits, s.louvain_hits), (1, 1), "{s:?}");
     }
 
     #[test]

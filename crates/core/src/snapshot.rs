@@ -18,17 +18,16 @@
 //! offset  size  field
 //!      0     8  magic `CLAIRSNP`
 //!      8     2  byte-order mark 0xFEFF, little-endian (`FF FE`)
-//!     10     4  format version (u32 LE, currently 2)
+//!     10     4  format version (u32 LE, currently 3)
 //!     14     8  payload length in bytes (u64 LE)
 //!     22     8  FNV-1a-64 checksum of the payload (u64 LE)
 //!     30     …  binary payload
 //! ```
 //!
-//! The payload is ten sections, in this order: structures, layer
+//! The payload is nine sections, in this order: structures, layer
 //! costs, area tables, compute sums, lower bounds, route keys,
-//! communication sequences, exact Louvain partitions, warm Louvain
-//! groups, universal graphs. Each section is an entry count followed
-//! by the entries. Inside an entry:
+//! communication sequences, Louvain partitions, universal graphs. Each
+//! section is an entry count followed by the entries. Inside an entry:
 //!
 //! * integers are unsigned LEB128 varints;
 //! * floats are their IEEE-754 bit patterns (`f64::to_bits`), 8 bytes
@@ -38,11 +37,10 @@
 //! * every sequence carries a varint length prefix.
 //!
 //! Structural ids are renumbered into the order of the structures'
-//! encoded bytes, and every section (and the records inside a warm
-//! group) is sorted by its entries' encoded bytes. Equal tier
-//! *contents* therefore give equal *bytes*: snapshots are
-//! **byte-identical across thread counts** and across processes that
-//! computed the same entries in different orders.
+//! encoded bytes, and every section is sorted by its entries' encoded
+//! bytes. Equal tier *contents* therefore give equal *bytes*:
+//! snapshots are **byte-identical across thread counts** and across
+//! processes that computed the same entries in different orders.
 //!
 //! The decoder checks every length prefix against the bytes that
 //! remain before it allocates, and rejects unknown tags, out-of-range
@@ -75,9 +73,7 @@
 
 use crate::error::ClaireError;
 use crate::evaluate::{ComputeSum, RouteTable, TransferCost};
-use crate::parallel::{
-    read_lock, write_lock, Engine, Prehashed, TopologyKey, UniversalCsr, WarmEntry,
-};
+use crate::parallel::{read_lock, write_lock, Engine, Prehashed, TopologyKey, UniversalCsr};
 use claire_graph::{CsrGraph, Partition, WeightedGraph};
 use claire_model::{
     Activation, ActivationKind, Conv1d, Conv2d, Flatten, LayerKind, Linear, OpClass, Permute,
@@ -97,7 +93,7 @@ const BOM: u16 = 0xFEFF;
 
 /// Current snapshot format version. Bump on any layout or
 /// cached-value-semantics change; readers reject other versions.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Header length in bytes: magic + BOM + version + length + checksum.
 const HEADER_LEN: usize = 8 + 2 + 4 + 8 + 8;
@@ -378,18 +374,6 @@ pub(crate) fn encode(engine: &Engine) -> Vec<u8> {
     );
     put_section(
         &mut file,
-        read_lock(&engine.louvain_warm).iter(),
-        |out, (key, entries)| {
-            put_words(out, key);
-            put_section(out, entries, |out, e| {
-                put_f64(out, e.lo);
-                put_f64(out, e.hi);
-                put_partition(out, &e.partition);
-            });
-        },
-    );
-    put_section(
-        &mut file,
         read_lock(&engine.graphs).iter(),
         |out, ((sids, hw), ug)| {
             // Graph-tier keys hold structural ids widened to u64; map them
@@ -421,8 +405,8 @@ pub(crate) fn encode(engine: &Engine) -> Vec<u8> {
 
 // --- decoding -------------------------------------------------------------
 
-/// A staged exact-tier Louvain entry: the γ-free canonical CSR key
-/// and the memoized partition.
+/// A staged Louvain entry: the canonical CSR-plus-resolution key and
+/// the memoized partition.
 type StagedLouvain = (Box<[u64]>, Arc<Partition<OpClass>>);
 
 /// Everything a snapshot contributes, fully parsed and validated but
@@ -438,7 +422,6 @@ struct Staged {
     routes: Vec<TopologyKey>,
     comms: Vec<(u32, TopologyKey, Arc<[TransferCost]>)>,
     louvains: Vec<StagedLouvain>,
-    louvain_warm: Vec<(Box<[u64]>, Vec<WarmEntry>)>,
     graphs: Vec<(Vec<u32>, HwParams, Arc<UniversalCsr>)>,
 }
 
@@ -790,17 +773,6 @@ fn decode(bytes: &[u8]) -> Result<Staged, ClaireError> {
         Ok((s, topo, Arc::from(costs)))
     })?;
     let louvains = r.seq(2, |r| Ok((r.words()?, Arc::new(r.partition()?))))?;
-    let louvain_warm = r.seq(2, |r| {
-        let key = r.words()?;
-        let entries = r.seq(17, |r| {
-            Ok(WarmEntry {
-                lo: r.f64()?,
-                hi: r.f64()?,
-                partition: Arc::new(r.partition()?),
-            })
-        })?;
-        Ok((key, entries))
-    })?;
     let graphs = r.seq(7, |r| {
         let sids = r.seq(1, sid)?;
         let hw = r.hw()?;
@@ -826,7 +798,6 @@ fn decode(bytes: &[u8]) -> Result<Staged, ClaireError> {
         routes,
         comms,
         louvains,
-        louvain_warm,
         graphs,
     })
 }
@@ -891,20 +862,6 @@ fn apply(engine: &Engine, staged: Staged) {
         let mut louvains = write_lock(&engine.louvains);
         for (key, partition) in staged.louvains {
             louvains.entry(key).or_insert(partition);
-        }
-    }
-    {
-        let mut warm = write_lock(&engine.louvain_warm);
-        for (key, entries) in staged.louvain_warm {
-            let slot = warm.entry(key).or_default();
-            for e in entries {
-                let dup = slot
-                    .iter()
-                    .any(|s| s.lo.to_bits() == e.lo.to_bits() && s.hi.to_bits() == e.hi.to_bits());
-                if !dup {
-                    slot.push(e);
-                }
-            }
         }
     }
     {

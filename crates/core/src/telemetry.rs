@@ -124,12 +124,6 @@ pub enum Metric {
     CommHit,
     /// Edge-cost sequences built fresh (bucketed pricing).
     CommMiss,
-    /// Louvain partitions served from a prior resolution's certified
-    /// γ-interval (warm-start reuse).
-    LouvainWarmHit,
-    /// Louvain runs whose certificate was consulted but did not cover
-    /// the requested resolution.
-    LouvainWarmMiss,
     /// Multi-member universal graphs assembled by merging cached
     /// member graphs instead of rebuilding from scratch.
     MergedGraphBuilds,
@@ -172,7 +166,7 @@ pub enum Metric {
 
 impl Metric {
     /// Number of counter instruments.
-    pub const COUNT: usize = 51;
+    pub const COUNT: usize = 49;
 
     /// Every counter, in index order.
     pub const ALL: [Metric; Metric::COUNT] = [
@@ -208,8 +202,6 @@ impl Metric {
         Metric::FaultFailedNocLink,
         Metric::CommHit,
         Metric::CommMiss,
-        Metric::LouvainWarmHit,
-        Metric::LouvainWarmMiss,
         Metric::MergedGraphBuilds,
         Metric::PlanItems,
         Metric::LbHit,
@@ -264,8 +256,6 @@ impl Metric {
             Metric::FaultFailedNocLink => "fault.failed_noc_link",
             Metric::CommHit => "memo.comm.hit",
             Metric::CommMiss => "memo.comm.miss",
-            Metric::LouvainWarmHit => "memo.louvain_warm.hit",
-            Metric::LouvainWarmMiss => "memo.louvain_warm.miss",
             Metric::MergedGraphBuilds => "graph.merged_builds",
             Metric::PlanItems => "plan.items",
             Metric::LbHit => "memo.lb.hit",
@@ -329,15 +319,13 @@ pub enum Gauge {
     StructInstances,
     /// Entries in the communication edge-cost sequence cache.
     CommEntries,
-    /// Graphs carrying certified Louvain warm-start intervals.
-    LouvainWarmEntries,
     /// Entries in the latency lower-bound cache.
     LbEntries,
 }
 
 impl Gauge {
     /// Number of gauge instruments.
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 11;
 
     /// Every gauge, in index order.
     pub const ALL: [Gauge; Gauge::COUNT] = [
@@ -351,7 +339,6 @@ impl Gauge {
         Gauge::StructEntries,
         Gauge::StructInstances,
         Gauge::CommEntries,
-        Gauge::LouvainWarmEntries,
         Gauge::LbEntries,
     ];
 
@@ -368,7 +355,6 @@ impl Gauge {
             Gauge::StructEntries => "engine.struct_entries",
             Gauge::StructInstances => "engine.struct_instances",
             Gauge::CommEntries => "memo.comm.entries",
-            Gauge::LouvainWarmEntries => "memo.louvain_warm.entries",
             Gauge::LbEntries => "memo.lb.entries",
         }
     }

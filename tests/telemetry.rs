@@ -18,7 +18,10 @@ use std::time::Duration;
 
 use claire::core::fault::{FaultClass, FaultPlan};
 use claire::core::telemetry::Metric;
-use claire::core::{Claire, ClaireOptions, Engine, RobustnessPolicy, TelemetryOptions};
+use claire::core::{
+    paper_table3_subsets, Claire, ClaireOptions, Engine, RobustnessPolicy, SubsetStrategy,
+    TelemetryOptions,
+};
 use claire::model::zoo;
 use serde_json::Value;
 
@@ -99,6 +102,36 @@ fn engine_stats_reconcile_exactly_with_counters() {
         // above compared live values, not a wall of zeros.
         assert!(stats.cache_hits > 0, "flow should hit the layer cache");
         assert!(stats.dse_evaluated > 0, "flow should evaluate DSE points");
+    }
+}
+
+#[test]
+fn every_memo_tier_hits_on_a_cold_paper_flow() {
+    // A memo tier that one cold paper flow never hits costs lookups
+    // and snapshot bytes without saving work. The tiers come from the
+    // registry (`memo.<tier>.hit`), so a tier added later is held to
+    // the same rule.
+    let tiers: Vec<(&str, Metric)> = Metric::ALL
+        .iter()
+        .filter_map(|&m| Some((m.name().strip_prefix("memo.")?.strip_suffix(".hit")?, m)))
+        .collect();
+    assert!(tiers.len() >= 8, "memo tiers not found: {tiers:?}");
+    let engine = Engine::new(2);
+    let claire = Claire::new(ClaireOptions {
+        subsets: SubsetStrategy::Fixed(paper_table3_subsets()),
+        ..ClaireOptions::default()
+    });
+    let train = claire
+        .train_with_engine(&zoo::training_set(), &engine)
+        .expect("training phase");
+    claire
+        .evaluate_test_with_engine(&train, &zoo::test_set(), &engine)
+        .expect("test phase");
+    for (tier, hit) in tiers {
+        assert!(
+            engine.telemetry().counter(hit) >= 1,
+            "memo tier `{tier}` took no hit on the paper flow"
+        );
     }
 }
 
