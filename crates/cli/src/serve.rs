@@ -743,7 +743,7 @@ fn handle_connection<S: Conn>(stream: S, state: &Arc<ServerState>) {
 fn admit(state: &ServerState, line: &str, reply: &mpsc::Sender<String>) {
     let trace = state.resident.observer().next_trace();
     state.telemetry().count(Metric::ServeRequests);
-    let request = match parse_request(line) {
+    let request = match parse_request(line, &state.resident) {
         Ok(r) => r,
         Err((id, msg)) => {
             let logged = id.clone().unwrap_or(Value::Null);
@@ -1286,19 +1286,27 @@ fn error_value(op: &str, e: &ClaireError) -> Value {
 /// Parses one request line into a [`Request`]. On malformed input the
 /// error carries a user-facing message and the `id` to echo: the
 /// line's `id` (`null` when absent) once it parsed as a JSON object,
-/// `None` when it did not.
-fn parse_request(line: &str) -> Result<Request, (Option<Value>, String)> {
+/// `None` when it did not. Zoo names resolve through `resident`.
+fn parse_request(
+    line: &str,
+    resident: &ResidentEngine,
+) -> Result<Request, (Option<Value>, String)> {
     let value: Value = serde_json::from_str(line).map_err(|e| (None, format!("bad JSON: {e}")))?;
     let Some(obj) = value.as_object() else {
         return Err((None, "request must be a JSON object".into()));
     };
     let id = value.get("id").cloned().unwrap_or(Value::Null);
-    request_fields(&value, obj, id.clone()).map_err(|msg| (Some(id), msg))
+    request_fields(&value, obj, id.clone(), resident).map_err(|msg| (Some(id), msg))
 }
 
 /// Builds a [`Request`] from a parsed JSON object (`value`, whose
 /// fields are `obj`).
-fn request_fields(value: &Value, obj: &[(String, Value)], id: Value) -> Result<Request, String> {
+fn request_fields(
+    value: &Value,
+    obj: &[(String, Value)],
+    id: Value,
+    resident: &ResidentEngine,
+) -> Result<Request, String> {
     for (key, _) in obj {
         if !matches!(
             key.as_str(),
@@ -1333,7 +1341,7 @@ fn request_fields(value: &Value, obj: &[(String, Value)], id: Value) -> Result<R
         .transpose()?;
     let op = match value.get("op").and_then(Value::as_str) {
         Some("custom") => Op::Custom {
-            model: request_model(value)?,
+            model: request_model(value, resident)?,
             policy: match value.get("degrade").map(Value::as_bool) {
                 None => None,
                 Some(Some(true)) => Some(RobustnessPolicy::Degrade),
@@ -1342,10 +1350,10 @@ fn request_fields(value: &Value, obj: &[(String, Value)], id: Value) -> Result<R
             },
         },
         Some("assign") => Op::Assign {
-            model: request_model(value)?,
+            model: request_model(value, resident)?,
         },
         Some("what_if") => Op::WhatIf {
-            model: request_model(value)?,
+            model: request_model(value, resident)?,
             constraints: request_constraints(value)?,
         },
         // In-band introspection needs no model — only `id` (and `op`)
@@ -1362,15 +1370,17 @@ fn request_fields(value: &Value, obj: &[(String, Value)], id: Value) -> Result<R
     })
 }
 
-/// Resolves the request's model: a zoo name (`"model"`) or an inline
-/// `print(model)` dump (`"printout"` with optional `"name"`,
-/// `"image": [C,H,W]` or `"seq": [TOKENS,FEATURES]`).
-fn request_model(value: &Value) -> Result<Model, String> {
+/// Resolves the request's model: a zoo name (`"model"`, shared through
+/// the resident's name map) or an inline `print(model)` dump
+/// (`"printout"` with optional `"name"`, `"image": [C,H,W]` or
+/// `"seq": [TOKENS,FEATURES]`).
+fn request_model(value: &Value, resident: &ResidentEngine) -> Result<Model, String> {
     match (value.get("model"), value.get("printout")) {
         (Some(_), Some(_)) => Err("`model` and `printout` are mutually exclusive".into()),
         (Some(name), None) => {
             let name = name.as_str().ok_or("model must be a string")?;
-            zoo::by_name(name)
+            resident
+                .zoo_model(name)
                 .ok_or_else(|| format!("unknown model `{name}` (see `claire-cli models`)"))
         }
         (None, Some(text)) => {

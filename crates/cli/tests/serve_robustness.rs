@@ -931,3 +931,68 @@ fn sigterm_shutdown_saves_the_snapshot_without_stdin_eof() {
     assert!(err.contains("warm state saved"), "no save message: {err}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A response re-serialised without its per-request `id` and
+/// `trace_id`, for byte comparison across servers.
+fn without_ids(value: &serde_json::Value) -> String {
+    let mut fields = value.as_object().expect("response is an object").clone();
+    fields.retain(|(key, _)| key != "id" && key != "trace_id");
+    serde_json::to_string(&serde_json::Value::Object(fields)).expect("serialise")
+}
+
+#[test]
+fn repeated_zoo_names_reuse_one_model_instance() {
+    let dir = scratch("zoo-reuse");
+    let socket = dir.join("claire.sock");
+    // Assign goes first: it trains the resident set, which interns
+    // every training model once. From then on a request for the same
+    // zoo name must reuse an interned instance, whatever its op.
+    let requests = [
+        "{\"id\":1,\"op\":\"assign\",\"model\":\"VGG16\"}",
+        "{\"id\":2,\"op\":\"custom\",\"model\":\"VGG16\"}",
+        concat!(
+            "{\"id\":3,\"op\":\"what_if\",\"model\":\"VGG16\",",
+            "\"constraints\":{\"chiplet_area_limit_mm2\":50.0}}"
+        ),
+    ];
+    let one_shot: Vec<String> = requests
+        .iter()
+        .map(|request| {
+            let lines = serve_stdin_lines(&format!("{request}\n"), &[]);
+            assert_eq!(lines.len(), 1, "{lines:?}");
+            without_ids(&serde_json::from_str(&lines[0]).expect("response is JSON"))
+        })
+        .collect();
+
+    let mut server = spawn_listening(&socket, &[]);
+    // (answer, struct_instances after it); asserted once the server is
+    // down, so a failure does not leak it.
+    let mut observed = Vec::new();
+    for _ in 0..3 {
+        for request in &requests {
+            let answer = round_trip(&socket, request);
+            let probe = round_trip(&socket, "{\"op\":\"stats\"}");
+            let instances = probe
+                .as_ref()
+                .and_then(|p| p["stats"]["gauges"]["engine.struct_instances"].as_u64());
+            observed.push((answer, instances));
+        }
+    }
+    assert_eq!(terminate(&mut server).code(), Some(0));
+    std::fs::remove_dir_all(&dir).ok();
+
+    let instances: Vec<u64> = observed
+        .iter()
+        .map(|(_, n)| n.expect("stats reports struct_instances"))
+        .collect();
+    assert!(instances[0] > 0, "nothing interned: {instances:?}");
+    assert!(
+        instances.iter().all(|&n| n == instances[0]),
+        "interned instances grew per request: {instances:?}"
+    );
+    for ((answer, _), want) in observed.iter().zip(one_shot.iter().cycle()) {
+        let answer = answer.as_ref().expect("answered");
+        assert_eq!(answer["ok"].as_bool(), Some(true), "{answer}");
+        assert_eq!(&without_ids(answer), want, "resident answer drifted");
+    }
+}

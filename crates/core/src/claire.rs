@@ -2,9 +2,7 @@
 //! configurations) and test phase (assignment + metric evaluation),
 //! i.e. the full Fig. 1 pipeline.
 
-use crate::assign::{
-    assign_test, partition_training, partition_training_merged, scaled_vector, WeightScale,
-};
+use crate::assign::{partition_training, partition_training_merged, scaled_vector, WeightScale};
 use crate::chiplet::cluster_into_chiplets_with_engine;
 use crate::config::{Constraints, DesignConfig};
 use crate::dse::{
@@ -908,7 +906,6 @@ impl Claire {
                     .iter()
                     .find(|&&(i, _)| train.libraries[i].config.covers(m))
                     .copied();
-                let _ = assign_test(m, &vectors); // keep raw argmax observable in tests
 
                 // The generic config covers every *training* op class by
                 // construction; a test model with a novel op class cannot

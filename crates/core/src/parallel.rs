@@ -4,10 +4,10 @@
 //! (model × configuration) work items: the DSE sweep evaluates 81
 //! hardware points per algorithm, the training phase evaluates every
 //! algorithm on every candidate configuration, and the test phase
-//! repeats the DSE per test algorithm. [`Engine`] runs those maps on a
-//! scoped thread pool and memoizes the per-layer cost model behind a
-//! sharded lock, while guaranteeing **bit-identical results at any
-//! thread count**:
+//! repeats the DSE per test algorithm. [`Engine`] runs those maps on
+//! the calling thread plus scoped helper threads and memoizes the
+//! per-layer cost model behind a sharded lock, while guaranteeing
+//! **bit-identical results at any thread count**:
 //!
 //! * work items are claimed from an atomic cursor but results are
 //!   reassembled by item index, so output order never depends on
@@ -24,7 +24,7 @@
 use crate::config::{monolithic_area_mm2, DesignConfig};
 use crate::evaluate::{ComputeSum, CostProvider, RouteTable, TransferCost};
 use crate::fault::FaultPlan;
-use crate::telemetry::{self, ArgValue, Gauge, Metric, Telemetry, WorkerSample};
+use crate::telemetry::{self, ArgValue, Gauge, Metric, Telemetry};
 use claire_graph::{louvain_csr_counted, CsrGraph, Partition};
 use claire_model::{LayerKind, OpClass};
 use claire_ppa::{layer_cost, unit_area_mm2, DseSpace, HwParams, LayerBatch, LayerCost};
@@ -1239,13 +1239,9 @@ impl Engine {
             let wall_start = Instant::now();
             let out: Vec<_> = (0..n).map(run_one).collect();
             let wall = wall_start.elapsed();
-            self.telemetry.record_worker(WorkerSample {
-                stage: self.telemetry.current_stage(),
-                worker: 0,
-                busy: wall,
-                wall,
-                items: n as u64,
-            });
+            let stage = self.telemetry.current_stage();
+            self.telemetry
+                .record_worker(stage.as_deref(), 0, wall, wall, n as u64);
             return out;
         }
 
@@ -1253,63 +1249,65 @@ impl Engine {
         let stage = tel.current_stage();
         let cursor = AtomicUsize::new(0);
         // Workers start claiming only once every worker thread is up:
-        // without the barrier the first-spawned worker drains a short
-        // item set before the later spawns even begin, and the busy
-        // imbalance the worker samples report measures thread-spawn
-        // latency instead of load balance.
+        // without the barrier the caller drains a short item set before
+        // the helper spawns even begin, and the busy imbalance the
+        // worker samples report measures thread-spawn latency instead
+        // of load balance.
         let start = std::sync::Barrier::new(workers);
+        // One worker's claim loop: items come off the shared cursor
+        // until it runs dry, then the worker publishes its sample and
+        // flushes its trace events.
+        let work = |w: usize| {
+            start.wait();
+            let wall_start = Instant::now();
+            let mut busy = Duration::ZERO;
+            let mut items_done = 0u64;
+            let mut local = Vec::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let t0 = Instant::now();
+                let r = {
+                    let _span = tel.item_span(i, stage.as_deref());
+                    run_one(i)
+                };
+                let took = t0.elapsed();
+                busy += took;
+                items_done += 1;
+                tel.record_item_duration(took);
+                local.push((i, r));
+            }
+            tel.record_worker(stage.as_deref(), w, busy, wall_start.elapsed(), items_done);
+            tel.flush_thread_events();
+            local
+        };
+        // The caller runs worker 0 itself, so a map spawns only
+        // `workers - 1` scoped helpers.
         let buckets: Vec<Vec<(usize, _)>> = std::thread::scope(|scope| {
-            let cursor = &cursor;
-            let run_one = &run_one;
-            let stage = &stage;
-            let start = &start;
-            let handles: Vec<_> = (0..workers)
+            let work = &work;
+            let helpers: Vec<_> = (1..workers)
                 .map(|w| {
                     scope.spawn(move || {
                         IN_WORKER.with(|x| x.set(true));
                         telemetry::set_current_tid(w as u32 + 1);
-                        start.wait();
-                        let wall_start = Instant::now();
-                        let mut busy = Duration::ZERO;
-                        let mut items_done = 0u64;
-                        let mut local = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            let t0 = Instant::now();
-                            let r = {
-                                let _span = tel.item_span(i, stage.as_deref());
-                                run_one(i)
-                            };
-                            let took = t0.elapsed();
-                            busy += took;
-                            items_done += 1;
-                            tel.record_item_duration(took);
-                            local.push((i, r));
-                        }
-                        tel.record_worker(WorkerSample {
-                            stage: stage.clone(),
-                            worker: w,
-                            busy,
-                            wall: wall_start.elapsed(),
-                            items: items_done,
-                        });
-                        tel.flush_thread_events();
-                        local
+                        work(w)
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
+            let own = {
+                let _worker = CallerAsWorker::enter();
+                work(0)
+            };
+            std::iter::once(own)
+                .chain(helpers.into_iter().map(|h| match h.join() {
                     Ok(local) => local,
                     // Unreachable — `run_one` contains every unwind —
                     // but a worker dying some other way must still
                     // not hang the caller.
                     Err(payload) => std::panic::resume_unwind(payload),
-                })
+                }))
                 .collect()
         });
 
@@ -1527,10 +1525,38 @@ fn louvain_key(csr: &CsrGraph<OpClass>, resolution: f64) -> Box<[u64]> {
 }
 
 thread_local! {
-    /// True on threads spawned by [`Engine::par_map`]; forces nested
-    /// maps serial. Worker threads are scope-local, so the flag never
-    /// leaks to reused threads.
+    /// True on [`Engine::par_map`]'s helper threads, and on the caller
+    /// while it runs worker 0; forces nested maps serial. Helpers are
+    /// scope-local and the caller's guard restores the flag, so it
+    /// never leaks past the map.
     static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Makes the calling thread worker 0 of a top-level map for the
+/// guard's life: nested maps on it run serially and its trace events
+/// land on worker 0's track (tid 1). Dropping the guard restores the
+/// thread's previous flag and track, also on unwind.
+struct CallerAsWorker {
+    in_worker: bool,
+    tid: u32,
+}
+
+impl CallerAsWorker {
+    fn enter() -> Self {
+        let guard = CallerAsWorker {
+            in_worker: IN_WORKER.with(|x| x.replace(true)),
+            tid: telemetry::current_tid(),
+        };
+        telemetry::set_current_tid(1);
+        guard
+    }
+}
+
+impl Drop for CallerAsWorker {
+    fn drop(&mut self) {
+        IN_WORKER.with(|x| x.set(self.in_worker));
+        telemetry::set_current_tid(self.tid);
+    }
 }
 
 /// A cache key bundled with its hash, computed once per lookup.
@@ -1647,6 +1673,8 @@ impl Hasher for FxHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn par_map_preserves_order_at_any_thread_count() {
@@ -1678,6 +1706,120 @@ mod tests {
         let engine = Engine::new(8);
         assert_eq!(engine.par_map(&[] as &[u8], |_, &x| x), Vec::<u8>::new());
         assert_eq!(engine.par_map(&[7u8], |_, &x| x + 1), vec![8]);
+    }
+
+    /// Spins (yielding) until `flag` is set, giving up after 10 s so a
+    /// scheduling bug fails an assertion instead of hanging the suite.
+    fn wait_for(flag: &AtomicBool) {
+        let t0 = Instant::now();
+        while !flag.load(Ordering::SeqCst) && t0.elapsed() < Duration::from_secs(10) {
+            std::thread::yield_now();
+        }
+    }
+
+    /// The caller runs worker 0: it claims items (helpers hold theirs
+    /// until it has), works on track 1, runs nested maps serially on
+    /// itself, and results still come back in index order.
+    #[test]
+    fn caller_runs_worker_zero_with_serial_nested_maps() {
+        let caller = std::thread::current().id();
+        for threads in [1, 2, 4] {
+            let engine = Engine::new(threads);
+            let caller_ran = AtomicBool::new(false);
+            let items: Vec<u32> = (0..40).collect();
+            let got = engine.par_map(&items, |_, &x| {
+                if std::thread::current().id() == caller {
+                    if threads > 1 {
+                        assert_eq!(telemetry::current_tid(), 1, "caller is worker 0's track");
+                    }
+                    let inner: Vec<u32> = (0..6).collect();
+                    let nested =
+                        engine.par_map(&inner, |_, &y| (std::thread::current().id(), x * 10 + y));
+                    for (y, (tid, v)) in nested.into_iter().enumerate() {
+                        assert_eq!(tid, caller, "nested item left the caller");
+                        assert_eq!(v, x * 10 + y as u32);
+                    }
+                    caller_ran.store(true, Ordering::SeqCst);
+                } else {
+                    wait_for(&caller_ran);
+                }
+                x * 2
+            });
+            assert!(caller_ran.load(Ordering::SeqCst), "threads {threads}");
+            let want: Vec<u32> = items.iter().map(|x| x * 2).collect();
+            assert_eq!(got, want, "threads {threads}");
+            assert!(!IN_WORKER.with(Cell::get), "threads {threads}: flag leaked");
+            assert_eq!(
+                telemetry::current_tid(),
+                0,
+                "threads {threads}: track leaked"
+            );
+        }
+    }
+
+    /// After a map, the caller's next top-level map fans out again:
+    /// the caller's first item waits until a helper has run one, which
+    /// only happens if the worker flag was restored.
+    #[test]
+    fn second_top_level_map_still_fans_out() {
+        let caller = std::thread::current().id();
+        for threads in [1, 2, 4] {
+            let engine = Engine::new(threads);
+            let items: Vec<u32> = (0..16).collect();
+            assert_eq!(engine.par_map(&items, |_, &x| x), items);
+            let helper_ran = AtomicBool::new(false);
+            let got = engine.par_map(&items, |_, &x| {
+                if std::thread::current().id() == caller {
+                    if threads > 1 {
+                        wait_for(&helper_ran);
+                    }
+                } else {
+                    helper_ran.store(true, Ordering::SeqCst);
+                }
+                x + 1
+            });
+            assert_eq!(
+                helper_ran.load(Ordering::SeqCst),
+                threads > 1,
+                "threads {threads}"
+            );
+            let want: Vec<u32> = items.iter().map(|x| x + 1).collect();
+            assert_eq!(got, want, "threads {threads}");
+        }
+    }
+
+    /// A panic in an item the caller runs is contained as a
+    /// [`WorkerPanic`] naming that item, exactly as on a helper.
+    #[test]
+    fn panic_in_a_caller_run_item_is_a_worker_panic() {
+        let caller = std::thread::current().id();
+        for threads in [1, 2, 4] {
+            let engine = Engine::new(threads);
+            let caller_ran = AtomicBool::new(false);
+            let lowest = AtomicUsize::new(usize::MAX);
+            let items: Vec<usize> = (0..24).collect();
+            let err: String = engine
+                .try_par_map(&items, |i, &x| -> Result<usize, String> {
+                    if std::thread::current().id() == caller {
+                        lowest.fetch_min(i, Ordering::SeqCst);
+                        caller_ran.store(true, Ordering::SeqCst);
+                        panic!("caller boom at {i}");
+                    }
+                    wait_for(&caller_ran);
+                    Ok(x)
+                })
+                .unwrap_err();
+            let i = lowest.load(Ordering::SeqCst);
+            assert!(
+                err.contains(&format!("item {i}")),
+                "threads {threads}: {err}"
+            );
+            assert!(
+                err.contains(&format!("caller boom at {i}")),
+                "threads {threads}: {err}"
+            );
+            assert!(!IN_WORKER.with(Cell::get), "threads {threads}: flag leaked");
+        }
     }
 
     #[test]

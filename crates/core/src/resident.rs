@@ -30,8 +30,9 @@ use crate::error::ClaireError;
 use crate::parallel::Engine;
 use crate::plan::flat::build_eval_table_cancellable;
 use crate::telemetry::{EventRing, QuantileDigest, QuantileSummary, RateSnapshot, RateWindows};
-use claire_model::Model;
+use claire_model::{zoo, Model};
 use serde::{Number, Value};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -347,6 +348,9 @@ pub struct ResidentEngine {
     engine: Engine,
     training: Vec<Model>,
     trained: OnceLock<Result<TrainOutput, ClaireError>>,
+    /// Zoo models resolved by name, one shared instance per name (see
+    /// [`ResidentEngine::zoo_model`]); at most one entry per zoo name.
+    zoo_models: Mutex<BTreeMap<String, Model>>,
     /// Checkpoints written so far (the snapshot generation counter).
     checkpoint_gen: AtomicU64,
     /// Live-observability hub: trace ids, flight ring, latency
@@ -368,9 +372,34 @@ impl ResidentEngine {
             engine,
             training,
             trained: OnceLock::new(),
+            zoo_models: Mutex::new(BTreeMap::new()),
             checkpoint_gen: AtomicU64::new(0),
             observer: ServeObserver::new(),
         }
+    }
+
+    /// Resolves a zoo name to the one resident instance of that model,
+    /// building it on the first request only. The instance is the
+    /// resident training set's own when that holds an equal model, so
+    /// every request for a name shares one
+    /// [`Model::instance_id`](claire_model::Model::instance_id) and the
+    /// engine's structure interner takes its fast path instead of
+    /// registering a fresh instance per request. `None` for a name the
+    /// zoo does not know.
+    pub fn zoo_model(&self, name: &str) -> Option<Model> {
+        let mut models = obs_lock(&self.zoo_models);
+        if let Some(model) = models.get(name) {
+            return Some(model.clone());
+        }
+        let built = zoo::by_name(name)?;
+        let model = self
+            .training
+            .iter()
+            .find(|m| **m == built)
+            .cloned()
+            .unwrap_or(built);
+        models.insert(name.to_owned(), model.clone());
+        Some(model)
     }
 
     /// The live-observability hub (trace-id assignment, lifecycle
@@ -613,7 +642,6 @@ impl ResidentEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use claire_model::zoo;
 
     #[test]
     fn batched_customs_match_one_shot() {
@@ -780,6 +808,20 @@ mod tests {
         assert_eq!(resident.checkpoint().expect("dirty checkpoint"), Some(2));
         assert_eq!(resident.checkpoint_generation(), 2);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn zoo_names_resolve_to_one_shared_instance() {
+        let resident = ResidentEngine::new(ClaireOptions::default(), zoo::training_set());
+        let first = resident.zoo_model("Alexnet").expect("zoo name");
+        let again = resident.zoo_model("Alexnet").expect("zoo name");
+        assert_eq!(first.instance_id(), again.instance_id());
+        assert_eq!(first, zoo::alexnet());
+        // A training-set name reuses the resident training instance.
+        let resnet = resident.zoo_model("Resnet18").expect("zoo name");
+        assert_eq!(resnet.instance_id(), resident.training[0].instance_id());
+        assert!(resident.zoo_model("NotAModel").is_none());
+        assert_eq!(obs_lock(&resident.zoo_models).len(), 2);
     }
 
     #[test]

@@ -843,21 +843,21 @@ pub struct StageAgg {
     pub count: u64,
 }
 
-/// One parallel-map worker's accounting for one map: busy time (inside
-/// item closures), wall time (claim loop start to retire) and items
-/// completed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkerSample {
-    /// The enclosing stage, when the map ran inside one.
-    pub stage: Option<String>,
+/// One parallel-map worker's accounting within one stage, summed
+/// across that stage's maps: busy time (inside item closures), wall
+/// time (claim loop start to retire) and items completed.
+#[derive(Debug)]
+struct WorkerSample {
+    /// The enclosing stage, when the maps ran inside one.
+    stage: Option<String>,
     /// Worker index within the map (0-based).
-    pub worker: usize,
+    worker: usize,
     /// Time spent inside item closures.
-    pub busy: Duration,
-    /// Wall time from spawn to retire.
-    pub wall: Duration,
+    busy: Duration,
+    /// Wall time from claim-loop start to retire.
+    wall: Duration,
     /// Items this worker completed.
-    pub items: u64,
+    items: u64,
 }
 
 /// Aggregated per-worker utilization across every parallel map.
@@ -923,9 +923,9 @@ struct LocalBuf {
     events: Vec<TraceEvent>,
 }
 
-/// Sets the current thread's logical track id (worker threads call
-/// this with `worker + 1` on spawn; scope-local threads never leak the
-/// value).
+/// Sets the current thread's logical track id (helper threads call
+/// this with `worker + 1` on spawn and never outlive their map; the
+/// caller running worker 0 takes 1 and restores its own id after).
 pub(crate) fn set_current_tid(tid: u32) {
     CURRENT_TID.with(|t| t.set(tid));
 }
@@ -1192,21 +1192,42 @@ impl Telemetry {
         }
     }
 
-    /// Records one worker's busy/wall accounting for a parallel map.
-    pub(crate) fn record_worker(&self, sample: WorkerSample) {
-        lock(&self.workers).push(sample);
-    }
-
-    /// Every per-map worker sample recorded so far.
-    pub fn worker_samples(&self) -> Vec<WorkerSample> {
-        lock(&self.workers).clone()
+    /// Folds one worker's busy/wall accounting for one parallel map
+    /// into that worker's aggregate for the enclosing stage. Storage
+    /// stays at one record per `(stage, worker)` pair however many
+    /// maps run, so a long-lived engine does not grow per request.
+    pub(crate) fn record_worker(
+        &self,
+        stage: Option<&str>,
+        worker: usize,
+        busy: Duration,
+        wall: Duration,
+        items: u64,
+    ) {
+        let mut workers = lock(&self.workers);
+        match workers
+            .iter_mut()
+            .find(|s| s.worker == worker && s.stage.as_deref() == stage)
+        {
+            Some(s) => {
+                s.busy += busy;
+                s.wall += wall;
+                s.items += items;
+            }
+            None => workers.push(WorkerSample {
+                stage: stage.map(str::to_owned),
+                worker,
+                busy,
+                wall,
+                items,
+            }),
+        }
     }
 
     /// Per-worker utilization aggregated across every parallel map.
     pub fn worker_utilization(&self) -> Vec<WorkerUtilization> {
-        let samples = self.worker_samples();
         let mut out: Vec<WorkerUtilization> = Vec::new();
-        for s in &samples {
+        for s in lock(&self.workers).iter() {
             match out.iter_mut().find(|u| u.worker == s.worker) {
                 Some(u) => {
                     u.busy += s.busy;
@@ -1228,16 +1249,11 @@ impl Telemetry {
     /// Per-worker busy time within one named stage: `(worker, busy)`
     /// pairs summed across that stage's maps.
     pub fn stage_worker_busy(&self, stage: &str) -> Vec<(usize, Duration)> {
-        let mut out: Vec<(usize, Duration)> = Vec::new();
-        for s in self.worker_samples() {
-            if s.stage.as_deref() != Some(stage) {
-                continue;
-            }
-            match out.iter_mut().find(|(w, _)| *w == s.worker) {
-                Some((_, busy)) => *busy += s.busy,
-                None => out.push((s.worker, s.busy)),
-            }
-        }
+        let mut out: Vec<(usize, Duration)> = lock(&self.workers)
+            .iter()
+            .filter(|s| s.stage.as_deref() == Some(stage))
+            .map(|s| (s.worker, s.busy))
+            .collect();
         out.sort_by_key(|&(w, _)| w);
         out
     }
@@ -1862,13 +1878,13 @@ mod tests {
     fn worker_utilization_aggregates_across_maps() {
         let t = Telemetry::new();
         for (stage, busy_ms) in [("a", 10), ("b", 30)] {
-            t.record_worker(WorkerSample {
-                stage: Some(stage.to_owned()),
-                worker: 0,
-                busy: Duration::from_millis(busy_ms),
-                wall: Duration::from_millis(40),
-                items: 2,
-            });
+            t.record_worker(
+                Some(stage),
+                0,
+                Duration::from_millis(busy_ms),
+                Duration::from_millis(40),
+                2,
+            );
         }
         let agg = t.worker_utilization();
         assert_eq!(agg.len(), 1);
@@ -1877,6 +1893,37 @@ mod tests {
         assert!((agg[0].utilization() - 0.5).abs() < 1e-9);
         let stage_a = t.stage_worker_busy("a");
         assert_eq!(stage_a, vec![(0, Duration::from_millis(10))]);
+    }
+
+    /// 10^4 maps over three stages (one unnamed) and four workers keep
+    /// one record per `(stage, worker)` pair, and the aggregates equal
+    /// the sums a per-map log would give.
+    #[test]
+    fn worker_samples_stay_bounded_by_stages_times_workers() {
+        let t = Telemetry::new();
+        let stages = [Some("plan"), Some("test"), None];
+        let workers = 4;
+        for map in 0..10_000u64 {
+            let stage = stages[(map % 3) as usize];
+            for w in 0..workers {
+                let busy = Duration::from_nanos(map * 7 + w as u64);
+                t.record_worker(stage, w, busy, busy * 2, 1);
+            }
+        }
+        assert!(lock(&t.workers).len() <= stages.len() * workers);
+        let util = t.worker_utilization();
+        assert_eq!(util.len(), workers);
+        for (w, u) in util.iter().enumerate() {
+            let busy: u64 = (0..10_000u64).map(|map| map * 7 + w as u64).sum();
+            assert_eq!(u.worker, w);
+            assert_eq!(u.items, 10_000);
+            assert_eq!(u.busy, Duration::from_nanos(busy));
+            assert_eq!(u.wall, Duration::from_nanos(busy * 2));
+        }
+        let test_busy = t.stage_worker_busy("test");
+        assert_eq!(test_busy.len(), workers);
+        let want: u64 = (0..10_000u64).filter(|m| m % 3 == 1).map(|m| m * 7).sum();
+        assert_eq!(test_busy[0], (0, Duration::from_nanos(want)));
     }
 
     #[test]

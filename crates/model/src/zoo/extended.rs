@@ -419,21 +419,10 @@ pub fn efficientnet_b0() -> Model {
     b.build()
 }
 
-/// The five extended test algorithms, ordered to target C_4, C_5,
-/// C_2, C_1 and the CNN/LLM boundary respectively.
-pub fn extended_test_set() -> Vec<Model> {
-    vec![
-        wav2vec2_base(),
-        distilgpt2(),
-        mask_rcnn_r50(),
-        convnext_tiny(),
-        efficientnet_b0(),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::zoo::extended_test_set;
     use crate::{OpClass, PoolingKind};
 
     #[test]

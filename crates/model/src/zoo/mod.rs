@@ -27,9 +27,7 @@ pub(crate) mod common;
 
 pub use cnn::{alexnet, densenet121, mobilenet_v2, resnet18, resnet50, vgg16};
 pub use detection::{detr, peanut_rcnn};
-pub use extended::{
-    convnext_tiny, distilgpt2, efficientnet_b0, extended_test_set, mask_rcnn_r50, wav2vec2_base,
-};
+pub use extended::{convnext_tiny, distilgpt2, efficientnet_b0, mask_rcnn_r50, wav2vec2_base};
 pub use extended2::{clip_vit_b32, t5_small, unet};
 pub use llm::{
     gpt2, gpt2_decode, llama3_8b, llama3_8b_decode, mixtral_8x7b, mixtral_8x7b_decode,
@@ -39,46 +37,78 @@ pub use transformer::{ast, bert_base, dinov2_large, dpt_large, graphormer, swin_
 
 use crate::Model;
 
+/// A zoo table entry: the model's name and its constructor.
+type Entry = (&'static str, fn() -> Model);
+
+/// Every model [`by_name`] resolves, as `(name, constructor)` in paper
+/// order: the training set, then the test set, then the extended test
+/// set, then the models no set lists. The set functions read their
+/// slices of this one table.
+const ZOO: [Entry; 27] = [
+    ("Resnet18", resnet18),
+    ("VGG16", vgg16),
+    ("Densenet121", densenet121),
+    ("Mobilenetv2", mobilenet_v2),
+    ("PEANUT RCNN", peanut_rcnn),
+    ("Resnet50", resnet50),
+    ("Mixtral-8x7B", mixtral_8x7b),
+    ("GPT2", gpt2),
+    ("Meta Llama-3-8B", llama3_8b),
+    ("DPT-Large", dpt_large),
+    ("DINOv2-large", dinov2_large),
+    ("SWIN-T", swin_t),
+    ("Whisperv3-large", whisper_v3_large),
+    ("BERT-base", bert_base),
+    ("Graphormer", graphormer),
+    ("ViT-base", vit_base),
+    ("AST", ast),
+    ("DETR", detr),
+    ("Alexnet", alexnet),
+    ("Wav2Vec2-base", wav2vec2_base),
+    ("DistilGPT2", distilgpt2),
+    ("MaskRCNN-R50", mask_rcnn_r50),
+    ("ConvNeXt-T", convnext_tiny),
+    ("EfficientNet-B0", efficientnet_b0),
+    ("UNet", unet),
+    ("T5-small", t5_small),
+    ("CLIP-ViT-B32", clip_vit_b32),
+];
+
+/// End of the training-set slice of [`ZOO`].
+const TRAINING_END: usize = 13;
+/// End of the test-set slice of [`ZOO`].
+const TEST_END: usize = TRAINING_END + 6;
+/// End of the extended-test-set slice of [`ZOO`].
+const EXTENDED_END: usize = TEST_END + 5;
+
+/// Builds every model of a [`ZOO`] slice, in table order.
+fn build(entries: &[Entry]) -> Vec<Model> {
+    entries.iter().map(|(_, build)| build()).collect()
+}
+
 /// The 13 training-set algorithms (paper Table I), in table order.
 pub fn training_set() -> Vec<Model> {
-    vec![
-        resnet18(),
-        vgg16(),
-        densenet121(),
-        mobilenet_v2(),
-        peanut_rcnn(),
-        resnet50(),
-        mixtral_8x7b(),
-        gpt2(),
-        llama3_8b(),
-        dpt_large(),
-        dinov2_large(),
-        swin_t(),
-        whisper_v3_large(),
-    ]
+    build(&ZOO[..TRAINING_END])
 }
 
 /// The 6 test-set algorithms (paper Input #6), in paper order.
 pub fn test_set() -> Vec<Model> {
-    vec![
-        bert_base(),
-        graphormer(),
-        vit_base(),
-        ast(),
-        detr(),
-        alexnet(),
-    ]
+    build(&ZOO[TRAINING_END..TEST_END])
+}
+
+/// The five extended test algorithms, ordered to target C_4, C_5,
+/// C_2, C_1 and the CNN/LLM boundary respectively.
+pub fn extended_test_set() -> Vec<Model> {
+    build(&ZOO[TEST_END..EXTENDED_END])
 }
 
 /// Looks an algorithm up by name, across the training, test and
-/// extended test sets.
+/// extended test sets and the unlisted models. Builds only the named
+/// model.
 pub fn by_name(name: &str) -> Option<Model> {
-    training_set()
-        .into_iter()
-        .chain(test_set())
-        .chain(extended_test_set())
-        .chain([unet(), t5_small(), clip_vit_b32()])
-        .find(|m| m.name() == name)
+    ZOO.iter()
+        .find(|(entry, _)| *entry == name)
+        .map(|(_, build)| build())
 }
 
 #[cfg(test)]
@@ -96,24 +126,68 @@ mod tests {
     }
 
     #[test]
-    fn names_are_unique() {
-        let mut names: Vec<String> = training_set()
-            .iter()
-            .chain(test_set().iter())
-            .map(|m| m.name().to_owned())
-            .collect();
-        names.sort();
-        let before = names.len();
+    fn zoo_table_names_match_models_and_are_unique() {
+        let mut names = Vec::new();
+        for (name, build) in ZOO {
+            assert_eq!(build().name(), name, "table name disagrees with its model");
+            names.push(name);
+        }
+        names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), before);
+        assert_eq!(names.len(), ZOO.len(), "duplicate zoo names");
+    }
+
+    /// The set functions return exactly the hand-kept paper lists the
+    /// table replaced: same models, same order.
+    #[test]
+    fn set_functions_match_the_paper_lists() {
+        let training = vec![
+            resnet18(),
+            vgg16(),
+            densenet121(),
+            mobilenet_v2(),
+            peanut_rcnn(),
+            resnet50(),
+            mixtral_8x7b(),
+            gpt2(),
+            llama3_8b(),
+            dpt_large(),
+            dinov2_large(),
+            swin_t(),
+            whisper_v3_large(),
+        ];
+        let test = vec![
+            bert_base(),
+            graphormer(),
+            vit_base(),
+            ast(),
+            detr(),
+            alexnet(),
+        ];
+        let extended = vec![
+            wav2vec2_base(),
+            distilgpt2(),
+            mask_rcnn_r50(),
+            convnext_tiny(),
+            efficientnet_b0(),
+        ];
+        assert_eq!(training_set(), training);
+        assert_eq!(test_set(), test);
+        assert_eq!(extended_test_set(), extended);
+        let unlisted = vec![unet(), t5_small(), clip_vit_b32()];
+        let all: Vec<Model> = [training, test, extended, unlisted].concat();
+        let table: Vec<&str> = ZOO.iter().map(|(name, _)| *name).collect();
+        let listed: Vec<&str> = all.iter().map(Model::name).collect();
+        assert_eq!(table, listed, "table order is not paper order");
     }
 
     #[test]
-    fn by_name_finds_each_algorithm() {
-        for m in training_set().iter().chain(test_set().iter()) {
-            assert!(by_name(m.name()).is_some(), "{} not found", m.name());
+    fn by_name_builds_an_equal_model_for_every_name() {
+        for (name, build) in ZOO {
+            assert_eq!(by_name(name), Some(build()), "{name}");
         }
         assert!(by_name("NotAModel").is_none());
+        assert!(by_name("").is_none());
     }
 
     /// Paper Table I parameter counts, within a ±8 % modelling tolerance
