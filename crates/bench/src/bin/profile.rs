@@ -461,10 +461,6 @@ fn main() {
         100.0 * lb_pruned_fraction,
         lb_screen_total
     );
-    println!(
-        "lower-bound memo tier: {} hits / {} misses ({} entries)",
-        search_stats.lb_hits, search_stats.lb_misses, search_stats.lb_entries
-    );
     println!("successive halving, budget >= |space|: exhaustive-identical on all 19 models");
     println!(
         "successive halving, budget 16 over {} points: {:>9.3} ms, {} survivors, \
@@ -1060,14 +1056,6 @@ fn main() {
                         ("screened", Value::Number(Number::PosInt(lb_screen_total))),
                     ]),
                 ),
-                (
-                    "lb_tier",
-                    tier(
-                        search_stats.lb_hits,
-                        search_stats.lb_misses,
-                        search_stats.lb_entries,
-                    ),
-                ),
                 ("selections_identical", Value::Bool(selections_identical)),
                 (
                     "sh_degenerate_identical",
@@ -1281,6 +1269,5 @@ fn tiers(s: &EngineStats) -> Value {
         ("graph", tier(s.graph_hits, s.graph_misses, s.graph_entries)),
         ("area", tier(s.area_hits, s.area_misses, s.area_entries)),
         ("comm", tier(s.comm_hits, s.comm_misses, s.comm_entries)),
-        ("lb", tier(s.lb_hits, s.lb_misses, s.lb_entries)),
     ])
 }

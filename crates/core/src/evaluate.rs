@@ -501,24 +501,18 @@ pub fn evaluate_with_costs(
             ComputeSum { cycles, energy_pj }
         }
     };
-    let mut latency_s = cycles as f64 / tech28::CLOCK_HZ;
+    let mut fold = Fold::new(cycles);
 
     // --- Communication. Per-chiplet torus placement: each chiplet's
     // module groups sit on the smallest torus that fits them, in class
     // order; a monolithic die places all groups on one torus. The
     // per-edge cost is shared with the discrete-event simulator via
     // [`edge_transfer`].
-    let mut noc_pj = 0.0;
-    let mut nop_pj = 0.0;
     if let Some(seq) = costs.edge_costs(model, config) {
         // Memoized sequence replay: same costs, same order, same fold
         // as the walk below — bit-identical by construction (see
         // [`edge_cost_sequence`]).
-        for t in seq.iter() {
-            latency_s += t.latency_s();
-            noc_pj += t.noc_pj();
-            nop_pj += t.nop_pj();
-        }
+        fold.edges(&seq);
     } else {
         let routes = costs.routes(config);
         // Coverage was prechecked above; a class that still fails to
@@ -538,10 +532,7 @@ pub fn evaluate_with_costs(
             if ea == eb {
                 continue; // same-class transfers are free
             }
-            let t = transfer_on_route(routes.route(config, ea, eb)?, bytes);
-            latency_s += t.latency_s();
-            noc_pj += t.noc_pj();
-            nop_pj += t.nop_pj();
+            fold.edge(transfer_on_route(routes.route(config, ea, eb)?, bytes));
         }
     }
 
@@ -565,41 +556,102 @@ pub fn evaluate_with_costs(
         } else {
             area
         };
-        tech28::LEAKAGE_W_PER_MM2 * leaking_area * latency_s
+        tech28::LEAKAGE_W_PER_MM2 * leaking_area * fold.latency_s
     } else {
         0.0
     };
+    fold.report(model, config, energy_pj, area, leakage_j)
+}
 
-    let report = PpaReport {
-        latency_s,
-        energy_j: (energy_pj + noc_pj + nop_pj) * 1e-12 + leakage_j,
-        area_mm2: area,
-        nop_energy_j: nop_pj * 1e-12,
-        noc_energy_j: noc_pj * 1e-12,
-        leakage_j,
-    };
-    // Finiteness gate: corrupt unit-PPA data or a degenerate
-    // configuration must surface as a typed error here, never as a
-    // NaN/Inf that silently poisons downstream sums and comparisons.
-    // Derived metrics are included so a zero latency or area (which
-    // would make power or density non-finite) is caught too.
-    let checks: [(&'static str, f64); 5] = [
-        ("latency", report.latency_s),
-        ("energy", report.energy_j),
-        ("area", report.area_mm2),
-        ("power", report.power_w()),
-        ("power_density", report.power_density_w_per_mm2()),
-    ];
-    for (metric, value) in checks {
-        if !value.is_finite() {
-            return Err(ClaireError::NonFiniteMetric {
-                algorithm: model.name().to_owned(),
-                config: config.name.clone(),
-                metric,
-            });
+/// [`evaluate`] of `model` on a configuration that covers it, from
+/// parts the caller already resolved: the compute sum, the memoized
+/// edge-cost sequence and the silicon area at `config.hw`. This is
+/// [`evaluate_with_costs`]'s fold under default options (same order,
+/// no leakage), so the report is bit-identical to it; `config`
+/// supplies only the names an error carries.
+pub(crate) fn evaluate_resolved(
+    model: &Model,
+    config: &DesignConfig,
+    sum: ComputeSum,
+    edges: &[TransferCost],
+    area: f64,
+) -> Result<PpaReport, ClaireError> {
+    let mut fold = Fold::new(sum.cycles);
+    fold.edges(edges);
+    fold.report(model, config, sum.energy_pj, area, 0.0)
+}
+
+/// The evaluator's running latency and communication-energy totals.
+struct Fold {
+    latency_s: f64,
+    noc_pj: f64,
+    nop_pj: f64,
+}
+
+impl Fold {
+    /// Starts from the compute latency of `cycles`.
+    fn new(cycles: u64) -> Self {
+        Fold {
+            latency_s: cycles as f64 / tech28::CLOCK_HZ,
+            noc_pj: 0.0,
+            nop_pj: 0.0,
         }
     }
-    Ok(report)
+
+    fn edge(&mut self, t: TransferCost) {
+        self.latency_s += t.latency_s();
+        self.noc_pj += t.noc_pj();
+        self.nop_pj += t.nop_pj();
+    }
+
+    fn edges(&mut self, seq: &[TransferCost]) {
+        for &t in seq {
+            self.edge(t);
+        }
+    }
+
+    /// The finished report, or the typed error for its first
+    /// non-finite metric.
+    fn report(
+        self,
+        model: &Model,
+        config: &DesignConfig,
+        compute_pj: f64,
+        area: f64,
+        leakage_j: f64,
+    ) -> Result<PpaReport, ClaireError> {
+        let report = PpaReport {
+            latency_s: self.latency_s,
+            energy_j: (compute_pj + self.noc_pj + self.nop_pj) * 1e-12 + leakage_j,
+            area_mm2: area,
+            nop_energy_j: self.nop_pj * 1e-12,
+            noc_energy_j: self.noc_pj * 1e-12,
+            leakage_j,
+        };
+        // Finiteness gate: corrupt unit-PPA data or a degenerate
+        // configuration must surface as a typed error here, never as a
+        // NaN/Inf that silently poisons downstream sums and
+        // comparisons. Derived metrics are included so a zero latency
+        // or area (which would make power or density non-finite) is
+        // caught too.
+        let checks: [(&'static str, f64); 5] = [
+            ("latency", report.latency_s),
+            ("energy", report.energy_j),
+            ("area", report.area_mm2),
+            ("power", report.power_w()),
+            ("power_density", report.power_density_w_per_mm2()),
+        ];
+        for (metric, value) in checks {
+            if !value.is_finite() {
+                return Err(ClaireError::NonFiniteMetric {
+                    algorithm: model.name().to_owned(),
+                    config: config.name.clone(),
+                    metric,
+                });
+            }
+        }
+        Ok(report)
+    }
 }
 
 #[cfg(test)]

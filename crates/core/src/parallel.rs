@@ -197,11 +197,10 @@ pub struct EngineStats {
     pub merged_graph_builds: u64,
     /// Evaluation items enumerated by the flat execution plan.
     pub plan_items: u64,
-    /// Latency lower bounds served from the memo tier.
-    pub lb_hits: u64,
-    /// Latency lower bounds computed fresh (cycles-only kernel).
-    pub lb_misses: u64,
-    /// Distinct (model, hardware) lower bounds currently cached.
+    /// Always 0: the latency lower-bound tier was deleted (the flat
+    /// plan keeps each row's bounds itself). The field stays because
+    /// the benchmark runner (`perfbench`) still sums it into its memo
+    /// entry count.
     pub lb_entries: usize,
     /// DSE points skipped by the latency lower-bound screen.
     pub dse_lb_pruned: u64,
@@ -263,11 +262,6 @@ impl EngineStats {
         } else {
             self.dse_pruned as f64 / total as f64
         }
-    }
-
-    /// Latency lower-bound tier hit rate in `[0, 1]`.
-    pub fn lb_hit_rate(&self) -> f64 {
-        ratio(self.lb_hits, self.lb_misses)
     }
 
     /// Fraction of area-screen survivors the latency lower-bound
@@ -365,14 +359,6 @@ impl std::fmt::Display for EngineStats {
         writeln!(f, "  merged graph builds: {}", self.merged_graph_builds)?;
         writeln!(
             f,
-            "  latency lower bounds: {} hits / {} misses ({:.1} % hit rate, {} entries)",
-            self.lb_hits,
-            self.lb_misses,
-            100.0 * self.lb_hit_rate(),
-            self.lb_entries
-        )?;
-        writeln!(
-            f,
             "  structural keys: {} structures over {} model instances",
             self.struct_entries, self.struct_instances
         )?;
@@ -406,6 +392,19 @@ impl std::fmt::Display for EngineStats {
 /// One memo tier: an FxHash map behind a single reader–writer lock.
 pub(crate) type MemoMap<K, V> = RwLock<HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>>;
 
+/// `unit_area_mm2` of every op class under one hardware point, indexed
+/// by [`OpClass::index`].
+pub(crate) type AreaTable = Arc<[f64; OpClass::COUNT]>;
+
+/// Monolithic area of `classes` from a per-class area table: the sum
+/// walks `classes` in `BTreeSet` order and adds the same per-group
+/// router term as [`monolithic_area_mm2`], so the value is
+/// bit-identical to it.
+pub(crate) fn area_from_table(classes: &BTreeSet<OpClass>, table: &[f64; OpClass::COUNT]) -> f64 {
+    let units: f64 = classes.iter().map(|&c| table[c.index()]).sum();
+    units + classes.len() as f64 * claire_noc::Network::noc().router.area_mm2
+}
+
 /// The evaluation engine: a thread-count policy, a sharded layer-cost
 /// memo cache, and stage/wall-time counters. Cheap to share by
 /// reference across the whole pipeline; all interior state is
@@ -428,10 +427,7 @@ pub struct Engine {
     /// Communication tier: execution-order per-edge transfer costs,
     /// keyed by (model structural id, configuration topology).
     pub(crate) comms: MemoMap<(u32, TopologyKey), Arc<[TransferCost]>>,
-    pub(crate) areas: MemoMap<HwParams, Arc<[f64; OpClass::COUNT]>>,
-    /// Lower-bound tier: whole-model compute cycles (latency at
-    /// infinite bandwidth), keyed like the compute-sum tier.
-    pub(crate) lbs: MemoMap<(u32, HwParams), u64>,
+    pub(crate) areas: MemoMap<HwParams, AreaTable>,
     pub(crate) models: RwLock<ModelInterner>,
     /// The [`Engine::tier_signature`] the last snapshot save wrote, or
     /// that a load into empty tiers restored; `None` before either.
@@ -512,7 +508,6 @@ impl Engine {
             graphs: RwLock::new(HashMap::default()),
             comms: RwLock::new(HashMap::default()),
             areas: RwLock::new(HashMap::default()),
-            lbs: RwLock::new(HashMap::default()),
             models: RwLock::new(ModelInterner::default()),
             persisted: RwLock::new(None),
             telemetry: Arc::new(Telemetry::new()),
@@ -628,14 +623,13 @@ impl Engine {
         t.set_gauge(Gauge::GraphEntries, read_lock(&self.graphs).len() as u64);
         t.set_gauge(Gauge::AreaEntries, read_lock(&self.areas).len() as u64);
         t.set_gauge(Gauge::CommEntries, read_lock(&self.comms).len() as u64);
-        t.set_gauge(Gauge::LbEntries, read_lock(&self.lbs).len() as u64);
         let interner = read_lock(&self.models);
         t.set_gauge(Gauge::StructEntries, interner.by_content.len() as u64);
         t.set_gauge(Gauge::StructInstances, interner.by_instance.len() as u64);
     }
 
     /// Entry counts of every persisted memo tier.
-    fn tier_counts(&self) -> [usize; 9] {
+    fn tier_counts(&self) -> [usize; 8] {
         [
             self.shards
                 .iter()
@@ -647,7 +641,6 @@ impl Engine {
             read_lock(&self.graphs).len(),
             read_lock(&self.areas).len(),
             read_lock(&self.comms).len(),
-            read_lock(&self.lbs).len(),
             read_lock(&self.models).by_content.len(),
         ]
     }
@@ -744,9 +737,7 @@ impl Engine {
             louvain_warm_entries: 0,
             merged_graph_builds: t.counter(Metric::MergedGraphBuilds),
             plan_items: t.counter(Metric::PlanItems),
-            lb_hits: t.counter(Metric::LbHit),
-            lb_misses: t.counter(Metric::LbMiss),
-            lb_entries: read_lock(&self.lbs).len(),
+            lb_entries: 0,
             dse_lb_pruned: t.counter(Metric::DseLbPruned),
             search_rungs: t.counter(Metric::SearchRungs),
             stages: t.stage_aggregates(),
@@ -996,27 +987,28 @@ impl Engine {
         if !self.cache_enabled {
             return monolithic_area_mm2(classes, hw);
         }
-        let table = self.area_table(hw);
-        let units: f64 = classes.iter().map(|&c| table[c.index()]).sum();
-        units + classes.len() as f64 * claire_noc::Network::noc().router.area_mm2
+        area_from_table(classes, &self.area_table(hw))
     }
 
-    /// The memoized per-op-class area table for `hw`.
-    fn area_table(&self, hw: &HwParams) -> Arc<[f64; OpClass::COUNT]> {
+    /// The per-op-class area table for `hw`: memoized, or built fresh
+    /// (and uncounted) when the cache is off.
+    pub(crate) fn area_table(&self, hw: &HwParams) -> AreaTable {
+        let build = || {
+            let mut table = [0.0; OpClass::COUNT];
+            for c in OpClass::all() {
+                table[c.index()] = unit_area_mm2(c, hw);
+            }
+            Arc::new(table)
+        };
+        if !self.cache_enabled {
+            return build();
+        }
         if let Some(t) = read_lock(&self.areas).get(hw) {
             self.telemetry.count(Metric::AreaHit);
             return Arc::clone(t);
         }
         self.telemetry.count(Metric::AreaMiss);
-        let mut table = [0.0; OpClass::COUNT];
-        for c in OpClass::all() {
-            table[c.index()] = unit_area_mm2(c, hw);
-        }
-        Arc::clone(
-            write_lock(&self.areas)
-                .entry(*hw)
-                .or_insert_with(|| Arc::new(table)),
-        )
+        Arc::clone(write_lock(&self.areas).entry(*hw).or_insert_with(build))
     }
 
     /// The structural id and preprocessed [`LayerBatch`] for `model`
@@ -1079,33 +1071,151 @@ impl Engine {
         self.telemetry.count(Metric::SearchRungs);
     }
 
-    /// Memoized whole-model **compute-cycle lower bound**: the total
-    /// compute cycles of `model` under `hw` from the cycles-only
-    /// [`LayerBatch::compute_cycles_with`] kernel, keyed like the
-    /// compute-sum tier (structural id + hardware point). The cycle
-    /// count is bit-equal to [`CostProvider::compute_sum`]'s `cycles`
-    /// but skips all of its floating-point energy work — the cheap
-    /// low-fidelity pass the search's screens and rungs rank with.
+    /// Whole-model **compute-cycle lower bound**: the total compute
+    /// cycles of `model` under `hw` from the cycles-only
+    /// [`LayerBatch::compute_cycles_with`] kernel over the model's
+    /// interned batch. The cycle count is bit-equal to
+    /// [`CostProvider::compute_sum`]'s `cycles` but skips all of its
+    /// floating-point energy work — the cheap low-fidelity pass the
+    /// search's screens and rungs rank with. Not memoized: the flat
+    /// plan keeps each row's bounds itself, and the searches run the
+    /// batch kernel directly.
     pub fn compute_cycles_lb(&self, model: &claire_model::Model, hw: &HwParams) -> u64 {
+        self.cycles_lb_points(model, std::slice::from_ref(hw))[0]
+    }
+
+    /// [`Engine::compute_cycles_lb`] at every point of `points`, with
+    /// the interned batch resolved once and one scratch buffer.
+    pub(crate) fn cycles_lb_points(
+        &self,
+        model: &claire_model::Model,
+        points: &[HwParams],
+    ) -> Vec<u64> {
         if !self.cache_enabled {
             // `u64` addition is associative, so the per-layer walk
-            // sums to the exact batched value.
-            return model
-                .layers()
+            // sums to the exact batched value (and a cache-off engine
+            // interns nothing).
+            return points
                 .iter()
-                .map(|l| claire_ppa::layer_cycles(&l.kind, hw))
-                .sum();
+                .map(|hw| {
+                    model
+                        .layers()
+                        .iter()
+                        .map(|l| claire_ppa::layer_cycles(&l.kind, hw))
+                        .sum()
+                })
+                .collect();
         }
-        let (sid, batch) = self.structural(model);
-        let key = (sid, *hw);
-        if let Some(&c) = read_lock(&self.lbs).get(&key) {
-            self.telemetry.count(Metric::LbHit);
-            return c;
-        }
-        self.telemetry.count(Metric::LbMiss);
+        let batch = self.model_batch(model);
         let mut scratch = Vec::new();
-        let cycles = batch.compute_cycles_with(hw, &mut scratch);
-        *write_lock(&self.lbs).entry(key).or_insert(cycles)
+        points
+            .iter()
+            .map(|hw| batch.compute_cycles_with(hw, &mut scratch))
+            .collect()
+    }
+
+    /// Prices `model` on its monolithic `shell` at each `(hw, area)`
+    /// point, where `area` is the shell's monolithic area at `hw`
+    /// (what [`CostProvider::config_area`] returns for it). Each entry
+    /// equals `self.evaluate(model, &shell_at_hw).ok()` bit for bit;
+    /// `cancelled` is checked before every point, and every point from
+    /// the first cancelled one on comes back `None`.
+    ///
+    /// This is the flat plan's work unit. The row state is resolved
+    /// once for the whole slice — the structural id and batch, and the
+    /// comm-tier edge sequence (a monolithic shell's topology does not
+    /// depend on `hw`) — the compute-sum tier is read under one read
+    /// lock, and its misses are published under one write lock at the
+    /// end, so no point takes a shared lock of its own. Hit and miss
+    /// counts equal the per-point path's. Without a memoized edge
+    /// sequence (cache off, faults armed) or when `shell` does not
+    /// cover the model, every point takes [`Engine::evaluate`].
+    pub(crate) fn price_shell_points(
+        &self,
+        model: &claire_model::Model,
+        shell: &DesignConfig,
+        points: &[(HwParams, f64)],
+        cancelled: &dyn Fn() -> bool,
+    ) -> Vec<Option<crate::evaluate::PpaReport>> {
+        debug_assert!(shell.chiplets.is_empty(), "a monolithic shell");
+        let mut out = Vec::with_capacity(points.len());
+        let edges = if cancelled() || shell.first_missing(model).is_some() {
+            None
+        } else {
+            self.edge_costs(model, shell)
+        };
+        let Some(edges) = edges else {
+            for &(hw, _) in points {
+                if cancelled() {
+                    break;
+                }
+                let mut cfg = shell.clone();
+                cfg.hw = hw;
+                out.push(self.evaluate(model, &cfg).ok());
+            }
+            out.resize(points.len(), None);
+            return out;
+        };
+        let (sid, batch) = self.structural(model);
+        let cached: Vec<Option<ComputeSum>> = {
+            let sums = read_lock(&self.sums);
+            points
+                .iter()
+                .map(|(hw, _)| sums.get(&(sid, *hw)).copied())
+                .collect()
+        };
+        let mut fresh: Vec<(HwParams, ComputeSum)> = Vec::new();
+        let (mut hits, mut misses) = (0u64, 0u64);
+        let mut scratch = Vec::new();
+        for (&(hw, area), cached) in points.iter().zip(cached) {
+            if cancelled() {
+                break;
+            }
+            let sum = match cached {
+                Some(sum) => {
+                    hits += 1;
+                    sum
+                }
+                None => {
+                    misses += 1;
+                    let sum = self.batch_sum(&batch, &hw, &mut scratch);
+                    if sum.energy_pj.is_finite() {
+                        fresh.push((hw, sum));
+                    }
+                    sum
+                }
+            };
+            out.push(crate::evaluate::evaluate_resolved(model, shell, sum, &edges, area).ok());
+        }
+        out.resize(points.len(), None);
+        self.telemetry.count_by(Metric::SumHit, hits);
+        self.telemetry.count_by(Metric::SumMiss, misses);
+        if !fresh.is_empty() {
+            let mut sums = write_lock(&self.sums);
+            for (hw, sum) in fresh {
+                sums.entry((sid, hw)).or_insert(sum);
+            }
+        }
+        out
+    }
+
+    /// A compute-sum tier miss: `batch`'s sum under `hw` through the
+    /// batched kernel, under a trace span.
+    fn batch_sum(
+        &self,
+        batch: &LayerBatch,
+        hw: &HwParams,
+        scratch: &mut Vec<LayerCost>,
+    ) -> ComputeSum {
+        let mut span = self.telemetry.span("sum.batch", "memo");
+        span.arg("layers", ArgValue::Int(batch.layer_count() as u64));
+        span.arg("families", ArgValue::Int(batch.family_count() as u64));
+        self.telemetry.count(Metric::BatchSums);
+        let sum = batch.compute_sum_with(hw, scratch);
+        ComputeSum {
+            cycles: sum.cycles,
+            energy_pj: sum.energy_pj,
+        }
     }
 
     /// [`Engine::compute_cycles_lb`] in seconds: `cycles / CLOCK_HZ` —
@@ -1365,17 +1475,7 @@ impl CostProvider for Engine {
             return *cached;
         }
         self.telemetry.count(Metric::SumMiss);
-        let sum = {
-            let mut span = self.telemetry.span("sum.batch", "memo");
-            span.arg("layers", ArgValue::Int(batch.layer_count() as u64));
-            span.arg("families", ArgValue::Int(batch.family_count() as u64));
-            self.telemetry.count(Metric::BatchSums);
-            batch.compute_sum(hw)
-        };
-        let computed = ComputeSum {
-            cycles: sum.cycles,
-            energy_pj: sum.energy_pj,
-        };
+        let computed = self.batch_sum(&batch, hw, &mut Vec::new());
         // Finiteness guard at the sum-aggregation boundary: a
         // non-finite aggregate is surfaced by the evaluation that
         // produced it but never memoized.

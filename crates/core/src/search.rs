@@ -197,15 +197,14 @@ pub struct SearchOutcome {
 }
 
 /// Above this raw space size the search stops feeding the engine's
-/// per-point memo tiers (area tables, lower bounds) and computes both
-/// directly — the values are bit-identical, but 10⁶ cache entries
-/// would cost far more memory than they could ever save.
+/// per-point area-table tier and computes areas directly — the values
+/// are bit-identical, but 10⁶ cache entries would cost far more memory
+/// than they could ever save.
 const MEMO_POINT_LIMIT: usize = 1 << 17;
 
 thread_local! {
-    /// Per-worker scratch for direct (non-memoized) lower-bound
-    /// kernels — reused across points, rungs and models so the hot
-    /// loop never reallocates.
+    /// Per-worker scratch for the lower-bound kernel — reused across
+    /// points, rungs and models so the hot loop never reallocates.
     static LB_SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -265,11 +264,11 @@ pub fn search_with_engine(
         space_points(space).collect()
     };
 
-    // The direct lower-bound kernel shares one preprocessed batch and
-    // a per-worker scratch buffer across every point and rung. Fetched
-    // lazily so small-space searches don't intern the model on
-    // cache-off engines.
-    let batch = direct.then(|| engine.model_batch(model));
+    // The lower-bound kernel shares one preprocessed batch and a
+    // per-worker scratch buffer across every point and rung. A
+    // small-space search on a cache-off engine interns nothing and
+    // walks the layers instead.
+    let batch = (direct || engine.cache_enabled()).then(|| engine.model_batch(model));
     let lb_cycles = |hw: &HwParams| -> u64 {
         match &batch {
             Some(b) => LB_SCRATCH.with(|s| b.compute_cycles_with(hw, &mut s.borrow_mut())),

@@ -18,16 +18,16 @@
 //! offset  size  field
 //!      0     8  magic `CLAIRSNP`
 //!      8     2  byte-order mark 0xFEFF, little-endian (`FF FE`)
-//!     10     4  format version (u32 LE, currently 3)
+//!     10     4  format version (u32 LE, currently 4)
 //!     14     8  payload length in bytes (u64 LE)
 //!     22     8  FNV-1a-64 checksum of the payload (u64 LE)
 //!     30     …  binary payload
 //! ```
 //!
-//! The payload is nine sections, in this order: structures, layer
-//! costs, area tables, compute sums, lower bounds, route keys,
-//! communication sequences, Louvain partitions, universal graphs. Each
-//! section is an entry count followed by the entries. Inside an entry:
+//! The payload is eight sections, in this order: structures, layer
+//! costs, area tables, compute sums, route keys, communication
+//! sequences, Louvain partitions, universal graphs. Each section is an
+//! entry count followed by the entries. Inside an entry:
 //!
 //! * integers are unsigned LEB128 varints;
 //! * floats are their IEEE-754 bit patterns (`f64::to_bits`), 8 bytes
@@ -64,7 +64,9 @@
 //!
 //! Any reader-visible change to the payload layout or to the meaning
 //! of a cached value (a cost-model change, a new key field) must bump
-//! [`SNAPSHOT_VERSION`]. A reader rejects unknown versions — along
+//! [`SNAPSHOT_VERSION`]. Version 4 dropped version 3's lower-bound
+//! section together with the tier it persisted (the flat plan keeps
+//! each row's bounds itself). A reader rejects unknown versions — along
 //! with short files, bad magic, foreign byte order, checksum
 //! mismatches, and payloads that fail validation — with a typed
 //! [`ClaireError::SnapshotInvalid`], and the caller degrades to a cold
@@ -93,7 +95,7 @@ const BOM: u16 = 0xFEFF;
 
 /// Current snapshot format version. Bump on any layout or
 /// cached-value-semantics change; readers reject other versions.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Header length in bytes: magic + BOM + version + length + checksum.
 const HEADER_LEN: usize = 8 + 2 + 4 + 8 + 8;
@@ -335,15 +337,6 @@ pub(crate) fn encode(engine: &Engine) -> Vec<u8> {
             put_f64(out, s.energy_pj);
         },
     );
-    put_section(
-        &mut file,
-        read_lock(&engine.lbs).iter(),
-        |out, (&(sid, hw), &cycles)| {
-            put_varint(out, renum(sid));
-            put_hw(out, &hw);
-            put_varint(out, cycles);
-        },
-    );
     // Route tables are lazily-filled `OnceLock` grids; persisting the
     // keys alone preserves the "which topologies exist" working set
     // while letting routes refill deterministically on first use.
@@ -418,7 +411,6 @@ struct Staged {
     layer_costs: Vec<(LayerKind, HwParams, LayerCost)>,
     areas: Vec<(HwParams, Arc<[f64; OpClass::COUNT]>)>,
     sums: Vec<(u32, HwParams, ComputeSum)>,
-    lbs: Vec<(u32, HwParams, u64)>,
     routes: Vec<TopologyKey>,
     comms: Vec<(u32, TopologyKey, Arc<[TransferCost]>)>,
     louvains: Vec<StagedLouvain>,
@@ -756,7 +748,6 @@ fn decode(bytes: &[u8]) -> Result<Staged, ClaireError> {
             },
         ))
     })?;
-    let lbs = r.seq(6, |r| Ok((sid(r)?, r.hw()?, r.varint()?)))?;
     let routes = r.seq(49, Reader::topo)?;
     let comms = r.seq(51, |r| {
         let s = sid(r)?;
@@ -794,7 +785,6 @@ fn decode(bytes: &[u8]) -> Result<Staged, ClaireError> {
         layer_costs,
         areas,
         sums,
-        lbs,
         routes,
         comms,
         louvains,
@@ -834,12 +824,6 @@ fn apply(engine: &Engine, staged: Staged) {
         let mut sums = write_lock(&engine.sums);
         for (sid, hw, sum) in staged.sums {
             sums.entry((live(sid), hw)).or_insert(sum);
-        }
-    }
-    {
-        let mut lbs = write_lock(&engine.lbs);
-        for (sid, hw, cycles) in staged.lbs {
-            lbs.entry((live(sid), hw)).or_insert(cycles);
         }
     }
     {
@@ -1069,6 +1053,24 @@ mod tests {
         let again = Engine::new(1);
         apply(&again, staged);
         assert_eq!(encode(&again), bytes);
+    }
+
+    #[test]
+    fn version_3_snapshot_is_rejected_and_the_engine_stays_cold() {
+        // Version 3 carried a lower-bound section, a tier this build
+        // no longer has; such a file must not be read at all.
+        let warm = Engine::new(1);
+        warm.area_table(&HwParams::new(16, 16, 8, 8));
+        let mut bytes = encode(&warm);
+        bytes[10..14].copy_from_slice(&3u32.to_le_bytes());
+        let path = std::env::temp_dir().join(format!("claire-v3-{}.snapshot", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let cold = Engine::new(1);
+        let err = cold.load_snapshot(&path).unwrap_err();
+        let _ = std::fs::remove_file(&path);
+        assert!(matches!(err, ClaireError::SnapshotInvalid { .. }));
+        assert!(err.to_string().contains("version 3"), "{err}");
+        assert!(cold.tiers_empty());
     }
 
     #[test]

@@ -129,10 +129,6 @@ pub enum Metric {
     MergedGraphBuilds,
     /// Evaluation items enumerated by the flat execution plan.
     PlanItems,
-    /// Latency lower bounds served from the memo tier.
-    LbHit,
-    /// Latency lower bounds computed fresh (cycles-only kernel).
-    LbMiss,
     /// DSE points screened out by the latency lower-bound stage.
     DseLbPruned,
     /// Successive-halving rungs executed by sampled searches.
@@ -166,7 +162,7 @@ pub enum Metric {
 
 impl Metric {
     /// Number of counter instruments.
-    pub const COUNT: usize = 49;
+    pub const COUNT: usize = 47;
 
     /// Every counter, in index order.
     pub const ALL: [Metric; Metric::COUNT] = [
@@ -204,8 +200,6 @@ impl Metric {
         Metric::CommMiss,
         Metric::MergedGraphBuilds,
         Metric::PlanItems,
-        Metric::LbHit,
-        Metric::LbMiss,
         Metric::DseLbPruned,
         Metric::SearchRungs,
         Metric::ServeShed,
@@ -258,8 +252,6 @@ impl Metric {
             Metric::CommMiss => "memo.comm.miss",
             Metric::MergedGraphBuilds => "graph.merged_builds",
             Metric::PlanItems => "plan.items",
-            Metric::LbHit => "memo.lb.hit",
-            Metric::LbMiss => "memo.lb.miss",
             Metric::DseLbPruned => "dse.lb_pruned",
             Metric::SearchRungs => "dse.search.rungs",
             Metric::ServeShed => "serve.shed",
@@ -319,13 +311,11 @@ pub enum Gauge {
     StructInstances,
     /// Entries in the communication edge-cost sequence cache.
     CommEntries,
-    /// Entries in the latency lower-bound cache.
-    LbEntries,
 }
 
 impl Gauge {
     /// Number of gauge instruments.
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 10;
 
     /// Every gauge, in index order.
     pub const ALL: [Gauge; Gauge::COUNT] = [
@@ -339,7 +329,6 @@ impl Gauge {
         Gauge::StructEntries,
         Gauge::StructInstances,
         Gauge::CommEntries,
-        Gauge::LbEntries,
     ];
 
     /// The gauge's dotted instrument name.
@@ -355,7 +344,6 @@ impl Gauge {
             Gauge::StructEntries => "engine.struct_entries",
             Gauge::StructInstances => "engine.struct_instances",
             Gauge::CommEntries => "memo.comm.entries",
-            Gauge::LbEntries => "memo.lb.entries",
         }
     }
 }

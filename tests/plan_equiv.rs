@@ -83,6 +83,39 @@ fn planned_flow_equals_legacy_flow_bit_for_bit() {
 }
 
 #[test]
+fn planned_flow_equals_legacy_flow_across_row_chunks() {
+    // A 4,000-point space: every model's row is cut into several work
+    // chunks at any thread count, so chunk boundaries, the per-chunk
+    // sum-tier publish and the scatter back into rows are all crossed
+    // (the 81-point cases above give rows of at most 81 points).
+    let axis = |n: u32, step: u32| (1..=n).map(|i| i * step).collect::<Vec<u32>>();
+    let space = claire::ppa::DseSpace {
+        sa_sizes: axis(10, 12),
+        n_sas: axis(10, 8),
+        n_acts: axis(8, 4),
+        n_pools: axis(5, 4),
+        threads: None,
+    };
+    assert_eq!(space.len(), 4_000);
+    let opts = |legacy_flow| ClaireOptions {
+        space: space.clone(),
+        legacy_flow,
+        ..ClaireOptions::default()
+    };
+    let training = [zoo::resnet18(), zoo::alexnet(), zoo::bert_base()];
+    let tests = [zoo::vgg16()];
+    let reference = run_fingerprint(opts(true), &training, &tests, &Engine::serial());
+    for threads in THREAD_COUNTS {
+        let got = run_fingerprint(opts(false), &training, &tests, &Engine::new(threads));
+        assert_eq!(
+            got, reference,
+            "planned flow diverged from the legacy oracle on the 4,000-point space \
+             at {threads} thread(s)"
+        );
+    }
+}
+
+#[test]
 fn planned_flow_equals_legacy_flow_with_jaccard_subsets() {
     // A training set chosen so agglomeration forms several
     // multi-member subsets, so the library stage's table replay (set
