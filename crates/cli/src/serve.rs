@@ -21,8 +21,8 @@
 //! * **Deadlines** — a request may declare `"deadline_ms"`. A watchdog
 //!   fires its cancel flag when the budget lapses: still-queued
 //!   requests are answered `DeadlineExceeded{stage:"queued"}`, and
-//!   in-flight custom evaluations stop at the flat plan's cooperative
-//!   checkpoints and answer `stage:"evaluating"`. Completed neighbours
+//!   in-flight custom and what-if evaluations stop at the flat plan's
+//!   cooperative checkpoints and answer `stage:"evaluating"`. Completed neighbours
 //!   in the same batch are untouched — answers stay bit-identical.
 //! * **Crash safety** — with `--cache-dir`, warm state is checkpointed
 //!   every `--checkpoint-ms` (atomic tmp+rename, generation-countered,
@@ -47,7 +47,7 @@ use crate::summary::CustomSummary;
 use claire_core::telemetry::Metric;
 use claire_core::{
     ClaireError, ClaireOptions, Constraints, CustomRequest, FaultClass, FaultPlan, LifecycleEvent,
-    LifecycleStage, ResidentEngine, RobustnessPolicy,
+    LifecycleStage, ResidentEngine, RobustnessPolicy, WhatIfReport,
 };
 use claire_model::parse::{parse_model, InputShape, ParseOptions};
 use claire_model::{zoo, Model, ModelClass};
@@ -1043,45 +1043,65 @@ fn maybe_checkpoint(
 }
 
 /// Serves one batch of admitted jobs, returning responses in job
-/// order. Custom requests across the batch share one flat evaluation
-/// table (with per-request cancel flags); assignment requests share
-/// one test table.
+/// order. Custom and what-if requests go through one
+/// [`ResidentEngine::custom_batch`] (requests with equal constraints
+/// share one flat evaluation table; every request carries its cancel
+/// flag); assignment requests share one test table.
 fn serve_jobs(resident: &ResidentEngine, jobs: &[Job]) -> Vec<Value> {
     let mut responses: Vec<Option<Value>> = jobs.iter().map(|_| None).collect();
 
-    // Batch all customs into one plan.
+    // Batch all customs and what-ifs into one resident call.
     let custom_idx: Vec<usize> = jobs
         .iter()
         .enumerate()
-        .filter(|(_, j)| matches!(j.request.op, Op::Custom { .. }))
+        .filter(|(_, j)| matches!(j.request.op, Op::Custom { .. } | Op::WhatIf { .. }))
         .map(|(i, _)| i)
         .collect();
     if !custom_idx.is_empty() {
         let requests: Vec<CustomRequest> = custom_idx
             .iter()
-            .map(|&i| match &jobs[i].request.op {
-                Op::Custom { model, policy } => CustomRequest {
-                    model: model.clone(),
-                    policy: *policy,
-                    constraints: None,
+            .map(|&i| {
+                let request = match &jobs[i].request.op {
+                    Op::Custom { model, policy } => CustomRequest {
+                        policy: *policy,
+                        ..CustomRequest::new(model.clone())
+                    },
+                    Op::WhatIf { model, constraints } => {
+                        CustomRequest::what_if(model.clone(), *constraints)
+                    }
+                    _ => unreachable!("custom_idx filters Op::Custom and Op::WhatIf"),
+                };
+                CustomRequest {
                     cancel: Some(Arc::clone(&jobs[i].cancel)),
                     deadline_ms: jobs[i].request.deadline_ms,
-                },
-                _ => unreachable!("custom_idx filters Op::Custom"),
+                    ..request
+                }
             })
             .collect();
         for (&i, result) in custom_idx.iter().zip(resident.custom_batch(&requests)) {
-            responses[i] = Some(match result {
-                Ok(custom) => {
-                    let degradation = custom.degradation.as_ref().map(ToString::to_string);
-                    serde_json::json!({
-                        "op": "custom",
+            responses[i] = Some(match &jobs[i].request.op {
+                Op::WhatIf { .. } => match WhatIfReport::from_custom(result) {
+                    Ok(report) => serde_json::json!({
+                        "op": "what_if",
                         "ok": true,
-                        "result": CustomSummary::from(&custom),
-                        "degradation": degradation,
-                    })
-                }
-                Err(e) => error_value("custom", &e),
+                        "feasible": report.feasible,
+                        "result": report.result.as_ref().map(CustomSummary::from),
+                        "infeasibility": report.infeasibility.as_ref().map(ToString::to_string),
+                    }),
+                    Err(e) => error_value("what_if", &e),
+                },
+                _ => match result {
+                    Ok(custom) => {
+                        let degradation = custom.degradation.as_ref().map(ToString::to_string);
+                        serde_json::json!({
+                            "op": "custom",
+                            "ok": true,
+                            "result": CustomSummary::from(&custom),
+                            "degradation": degradation,
+                        })
+                    }
+                    Err(e) => error_value("custom", &e),
+                },
             });
         }
     }
@@ -1119,27 +1139,6 @@ fn serve_jobs(resident: &ResidentEngine, jobs: &[Job]) -> Vec<Value> {
                 }
             }
         }
-    }
-
-    // What-if probes, individually.
-    for (i, job) in jobs.iter().enumerate() {
-        if responses[i].is_some() {
-            continue;
-        }
-        responses[i] = Some(match &job.request.op {
-            Op::WhatIf { model, constraints } => match resident.what_if(model, *constraints) {
-                Ok(report) => serde_json::json!({
-                    "op": "what_if",
-                    "ok": true,
-                    "feasible": report.feasible,
-                    "result": report.result.as_ref().map(CustomSummary::from),
-                    "infeasibility": report.infeasibility.as_ref().map(ToString::to_string),
-                }),
-                Err(e) => error_value("what_if", &e),
-            },
-            // Stats probes are answered at admission and never queue.
-            _ => unreachable!("custom/assign answered above; stats never queues"),
-        });
     }
 
     responses

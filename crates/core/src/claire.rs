@@ -6,16 +6,13 @@ use crate::assign::{partition_training, partition_training_merged, scaled_vector
 use crate::chiplet::cluster_into_chiplets_with_engine;
 use crate::config::{Constraints, DesignConfig};
 use crate::dse::{
-    custom_config_searched, custom_config_with_engine, set_config_with_engine,
-    with_relaxation_observed, Degradation, DseObjective, RobustnessPolicy,
+    custom_config_searched, with_relaxation_observed, Degradation, DseObjective, RobustnessPolicy,
 };
 use crate::error::ClaireError;
 use crate::evaluate::PpaReport;
 use crate::metrics::{algorithm_coverage, chiplet_utilization, normalized_nre};
 use crate::parallel::Engine;
-use crate::plan::flat::{
-    build_eval_table, custom_from_row, set_config_from_table, EvalTable, ModelRow,
-};
+use crate::plan::flat::{build_eval_table, custom_from_row, set_config_from_table, ModelRow};
 use crate::search::SearchPolicy;
 use crate::telemetry::TelemetryOptions;
 use claire_cost::NreModel;
@@ -81,21 +78,12 @@ pub struct ClaireOptions {
     /// trace path is set, so runs without exports stay on the
     /// counters-only fast path.
     pub telemetry: TelemetryOptions,
-    /// Run the legacy recursive flow — per-model staged sweeps with
-    /// nested (serialised) parallel maps — instead of the default
-    /// flat execution plan. The recursive flow is the oracle the
-    /// plan-equivalence suite pins the planned flow against; both
-    /// produce bit-identical outputs at any thread count. Engines
-    /// with an armed fault plan always take the legacy path (fault
-    /// injection sites are calibrated against the recursive call
-    /// order).
-    pub legacy_flow: bool,
     /// How the per-model custom sweeps walk the DSE space (default:
-    /// exhaustive — the oracle). A sampled policy
-    /// ([`SearchPolicy::SuccessiveHalving`]) routes the run through
-    /// the legacy recursive flow: the flat plan's evaluation table
-    /// assumes every model prices the same exhaustively screened
-    /// point set, which sampling deliberately breaks.
+    /// exhaustive — the oracle). Under a sampled policy
+    /// ([`SearchPolicy::SuccessiveHalving`]) each custom is selected
+    /// by the policy itself ([`custom_config_searched`]) instead of
+    /// from a flat-plan row; the set configurations still replay from
+    /// the plan's exhaustively screened rows.
     pub search: SearchPolicy,
     /// Directory for the persistent warm-state snapshot (`None`
     /// disables persistence). When set, drivers load the snapshot
@@ -120,7 +108,6 @@ impl Default for ClaireOptions {
             provision_tanh_in_generic: true,
             policy: RobustnessPolicy::default(),
             telemetry: TelemetryOptions::default(),
-            legacy_flow: false,
             search: SearchPolicy::default(),
             cache_dir: None,
         }
@@ -404,70 +391,50 @@ impl Claire {
         engine: &Engine,
     ) -> Result<CustomResult, ClaireError> {
         self.validate_inputs()?;
-        let base = self.effective_constraints(model.name(), engine);
-        let ((config, report), degradation) = with_relaxation_observed(
-            self.opts.policy,
-            &base,
-            Some(engine.telemetry()),
-            model.name(),
-            |cons| {
-                let (mut cfg, _) = custom_config_searched(
-                    model,
-                    &self.opts.space,
-                    cons,
-                    DseObjective::MinArea,
-                    self.opts.search,
-                    engine,
-                )?;
-                cluster_into_chiplets_with_engine(
-                    &mut cfg,
-                    std::slice::from_ref(model),
-                    cons,
-                    self.opts.louvain_resolution,
-                    engine,
-                )?;
-                let report = engine.evaluate(model, &cfg)?;
-                Ok((cfg, report))
-            },
-        )?;
-        Ok(CustomResult {
-            model: model.clone(),
-            config,
-            report,
-            degradation,
-        })
+        self.custom_from_plan(model, None, engine)
     }
 
-    /// [`Claire::custom_for_with_engine`]'s planned twin: rung 0 of
-    /// the relaxation ladder selects from the flat plan's
-    /// pre-computed row (bit-identical — same feasibility filter,
-    /// same shared selection tail, same evaluations); relaxed rungs,
-    /// whose widened screens can need points outside the table, fall
-    /// back to the recursive sweep (memo-warm from the plan).
+    /// Every custom selection's body: walks the relaxation ladder and
+    /// selects each rung from a flat-plan row. Rung 0 reads `row` when
+    /// the caller already planned one under the options' constraints;
+    /// every other rung plans a one-model table under its own
+    /// constraints.
+    ///
+    /// A row may answer a rung whose area limit is at most the row's.
+    /// The only tighter rung 0 is a fault-injected one, and an armed
+    /// fault plan turns off the latency lower-bound screen, so such a
+    /// row holds every point that fits. Under a sampled search policy
+    /// the policy itself selects ([`custom_config_searched`]) and
+    /// `row` is unused.
     pub(crate) fn custom_from_plan(
         &self,
         model: &Model,
-        row: &ModelRow,
+        mut row: Option<&ModelRow>,
         engine: &Engine,
     ) -> Result<CustomResult, ClaireError> {
         let base = self.effective_constraints(model.name(), engine);
-        let mut first = true;
         let ((config, report), degradation) = with_relaxation_observed(
             self.opts.policy,
             &base,
             Some(engine.telemetry()),
             model.name(),
             |cons| {
-                let (mut cfg, _) = if std::mem::take(&mut first) {
-                    custom_from_row(model, row, cons, DseObjective::MinArea)
-                } else {
-                    custom_config_with_engine(
+                let objective = DseObjective::MinArea;
+                let (mut cfg, _) = if self.opts.search.is_sampled() {
+                    custom_config_searched(
                         model,
                         &self.opts.space,
                         cons,
-                        DseObjective::MinArea,
+                        objective,
+                        self.opts.search,
                         engine,
                     )
+                } else if let Some(row) = row.take() {
+                    custom_from_row(model, row, cons, objective)
+                } else {
+                    let models = std::slice::from_ref(model);
+                    let table = build_eval_table(models, &self.opts.space, cons, engine);
+                    custom_from_row(model, &table.rows[0], cons, objective)
                 }?;
                 cluster_into_chiplets_with_engine(
                     &mut cfg,
@@ -504,7 +471,7 @@ impl Claire {
 
     /// Rejects degenerate run inputs with a typed error instead of
     /// letting them surface as panics deep in the sweep.
-    fn validate_inputs(&self) -> Result<(), ClaireError> {
+    pub(crate) fn validate_inputs(&self) -> Result<(), ClaireError> {
         self.opts
             .space
             .validate()
@@ -566,14 +533,11 @@ impl Claire {
     /// and all layer costs share the engine's memo cache. The output
     /// is bit-identical to the serial flow at any thread count.
     ///
-    /// By default the run opens with the **flat execution plan**
-    /// (`plan` stage): every `(model, hw-point)` evaluation of the
-    /// run is enumerated as one item set and fed through a single
-    /// parallel map, and the per-model/per-subset selections replay
-    /// from the resulting table (see [`crate::plan::flat`]).
-    /// [`ClaireOptions::legacy_flow`] — or an armed fault plan —
-    /// selects the legacy recursive flow instead; both produce
-    /// bit-identical outputs.
+    /// The run opens with the **flat execution plan** (`plan` stage):
+    /// every `(model, hw-point)` evaluation of the run is enumerated as
+    /// one item set and fed through a single parallel map, and the
+    /// per-model/per-subset selections replay from the resulting table
+    /// (see [`crate::plan::flat`]).
     ///
     /// # Errors
     ///
@@ -587,40 +551,14 @@ impl Claire {
             return Err(ClaireError::EmptyAlgorithmSet);
         }
         self.validate_inputs()?;
-        if self.legacy_flow_active(engine) {
-            self.train_impl(models, engine, None)
-        } else {
-            let table = engine.time_stage("plan", || {
-                build_eval_table(models, &self.opts.space, &self.opts.constraints, engine)
-            });
-            self.train_impl(models, engine, Some(&table))
-        }
-    }
+        let table = engine.time_stage("plan", || {
+            build_eval_table(models, &self.opts.space, &self.opts.constraints, engine)
+        });
 
-    /// Whether this run takes the legacy recursive flow: requested via
-    /// [`ClaireOptions::legacy_flow`], forced by an armed fault plan
-    /// (injection sites are calibrated against the recursive call
-    /// order), or forced by a sampled search policy (the flat plan's
-    /// table assumes exhaustively screened point sets).
-    pub(crate) fn legacy_flow_active(&self, engine: &Engine) -> bool {
-        self.opts.legacy_flow || engine.faults().is_some() || self.opts.search.is_sampled()
-    }
-
-    /// The shared train-phase body: stage structure and selection
-    /// logic are identical for both flows; `table` (the flat plan's
-    /// output) switches rung-0 DSE selections from recursive sweeps to
-    /// table replays.
-    fn train_impl(
-        &self,
-        models: &[Model],
-        engine: &Engine,
-        table: Option<&EvalTable>,
-    ) -> Result<TrainOutput, ClaireError> {
         // --- Output 1: custom configurations.
         let customs: Vec<CustomResult> = engine.time_stage("customs", || {
-            engine.try_par_map(models, |i, m| match table {
-                Some(t) => self.custom_from_plan(m, &t.rows[i], engine),
-                None => self.custom_for_with_engine(m, engine),
+            engine.try_par_map(models, |i, m| {
+                self.custom_from_plan(m, Some(&table.rows[i]), engine)
             })
         })?;
         let custom_latency: BTreeMap<String, f64> = customs
@@ -628,8 +566,31 @@ impl Claire {
             .map(|c| (c.model.name().to_owned(), c.report.latency_s))
             .collect();
 
+        // The DSE step of a set configuration (`C_g` or a `C_k`) over
+        // the training models `members`. Rung 0 replays from the run's
+        // table; a relaxed rung plans the members' own table under its
+        // own (looser) constraints and replays from that. A set replay
+        // may read a table whose area limit is at least the rung's,
+        // which covers the fault-injected rung 0.
+        let set_from_plan = |name: &str, members: &[usize], rung0: bool, cons: &Constraints| {
+            if rung0 {
+                return set_config_from_table(
+                    name,
+                    members,
+                    models,
+                    &table,
+                    cons,
+                    &custom_latency,
+                    engine,
+                );
+            }
+            let own: Vec<Model> = members.iter().map(|&i| models[i].clone()).collect();
+            let table = build_eval_table(&own, &self.opts.space, cons, engine);
+            let all: Vec<usize> = (0..own.len()).collect();
+            set_config_from_table(name, &all, &own, &table, cons, &custom_latency, engine)
+        };
+
         // --- Output 2: the generic configuration.
-        let refs: Vec<&Model> = models.iter().collect();
         let generic_base = self.effective_constraints("C_g", engine);
         let all_members: Vec<usize> = (0..models.len()).collect();
         let (generic, generic_degradation) = engine.time_stage("generic", || {
@@ -640,34 +601,8 @@ impl Claire {
                 Some(engine.telemetry()),
                 "C_g",
                 |cons| {
-                    // Rung 0 replays from the flat plan's table; relaxed
-                    // rungs re-sweep recursively (their widened screens
-                    // can need points outside the table).
-                    let from_table = if first {
-                        first = false;
-                        table
-                    } else {
-                        None
-                    };
-                    let mut generic = match from_table {
-                        Some(t) => set_config_from_table(
-                            "C_g",
-                            &all_members,
-                            models,
-                            t,
-                            cons,
-                            &custom_latency,
-                            engine,
-                        ),
-                        None => set_config_with_engine(
-                            "C_g",
-                            &refs,
-                            &self.opts.space,
-                            cons,
-                            &custom_latency,
-                            engine,
-                        ),
-                    }?;
+                    let rung0 = std::mem::take(&mut first);
+                    let mut generic = set_from_plan("C_g", &all_members, rung0, cons)?;
                     if self.opts.provision_tanh_in_generic {
                         generic
                             .classes
@@ -712,8 +647,7 @@ impl Claire {
         let libraries: Vec<LibraryConfig> = engine.time_stage("libraries", || {
             engine.try_par_map(&subsets, |k, (subset, merged)| -> Result<_, ClaireError> {
                 let name = format!("C_{}", k + 1);
-                let members: Vec<&Model> = subset.iter().map(|&i| &models[i]).collect();
-                let member_models: Vec<Model> = members.iter().map(|m| (*m).clone()).collect();
+                let member_models: Vec<Model> = subset.iter().map(|&i| models[i].clone()).collect();
                 let lib_base = self.effective_constraints(&name, engine);
                 let mut first = true;
                 let (cfg, degradation) = with_relaxation_observed(
@@ -722,31 +656,8 @@ impl Claire {
                     Some(engine.telemetry()),
                     &name,
                     |cons| {
-                        let from_table = if first {
-                            first = false;
-                            table
-                        } else {
-                            None
-                        };
-                        let mut cfg = match from_table {
-                            Some(t) => set_config_from_table(
-                                &name,
-                                subset,
-                                models,
-                                t,
-                                cons,
-                                &custom_latency,
-                                engine,
-                            ),
-                            None => set_config_with_engine(
-                                &name,
-                                &members,
-                                &self.opts.space,
-                                cons,
-                                &custom_latency,
-                                engine,
-                            ),
-                        }?;
+                        let rung0 = std::mem::take(&mut first);
+                        let mut cfg = set_from_plan(&name, subset, rung0, cons)?;
                         cluster_into_chiplets_with_engine(
                             &mut cfg,
                             &member_models,
@@ -860,13 +771,11 @@ impl Claire {
     /// models are evaluated in parallel and layer costs are shared with
     /// any prior training run through the memo cache.
     ///
-    /// By default the test stage opens with the flat execution plan:
-    /// every `(test-model, hw-point)` evaluation runs through one
+    /// The test stage opens with the flat execution plan: every
+    /// `(test-model, hw-point)` evaluation runs through one
     /// load-balanced parallel map before the per-model selections,
-    /// clustering and assignment replay — collapsing the per-model
-    /// nested sweeps whose serialisation skews worker busy time.
-    /// [`ClaireOptions::legacy_flow`] (or an armed fault plan) selects
-    /// the recursive flow; outputs are bit-identical either way.
+    /// clustering and assignment replay. A sampled search policy
+    /// selects each custom itself, so it plans no table.
     ///
     /// # Errors
     ///
@@ -884,13 +793,11 @@ impl Claire {
         let vectors: Vec<_> = train.libraries.iter().map(|l| l.vector.clone()).collect();
 
         let reports: Vec<TestReport> = engine.time_stage("test", || {
-            let table = (!self.legacy_flow_active(engine))
+            let table = (!self.opts.search.is_sampled())
                 .then(|| build_eval_table(tests, &self.opts.space, &self.opts.constraints, engine));
             engine.try_par_map(tests, |i, m| -> Result<_, ClaireError> {
-                let custom = match &table {
-                    Some(t) => self.custom_from_plan(m, &t.rows[i], engine)?,
-                    None => self.custom_for_with_engine(m, engine)?,
-                };
+                let row = table.as_ref().map(|t| &t.rows[i]);
+                let custom = self.custom_from_plan(m, row, engine)?;
 
                 // Rank libraries by similarity; take the best that covers.
                 let mv = scaled_vector(m, self.opts.assign_scale);

@@ -1,12 +1,14 @@
 //! The flat execution plan: one up-front item set for a whole flow.
 //!
-//! The recursive flow runs one staged DSE sweep per model; the outer
-//! parallel map claims whole models, the nested per-point maps are
-//! forced serial inside workers, and models of very different sizes
-//! leave workers idle. The flat plan instead enumerates **every**
-//! `(model, hw-point)` evaluation the flow will need and feeds them
-//! through one [`Engine::par_map`] per stage (lower bounds, then
-//! pricing).
+//! The recursive reference sweep ([`crate::dse`]) runs one staged DSE
+//! sweep per model; the outer parallel map claims whole models, the
+//! nested per-point maps are forced serial inside workers, and models
+//! of very different sizes leave workers idle. The flat plan instead
+//! enumerates **every** `(model, hw-point)` evaluation the flow will
+//! need and feeds them through one [`Engine::par_map`] per stage
+//! (lower bounds, then pricing). It is the only production evaluator
+//! for exhaustive selection: a custom or a relaxed rung that needs
+//! other constraints plans its own table under them.
 //!
 //! **Work unit.** One map item is a contiguous chunk of one model's
 //! row. A row is cut into about `4 × threads` chunks (see [`chunks`]),
@@ -439,11 +441,11 @@ pub fn custom_from_row(
 /// early-exit fold), and runs the shared selection fold.
 ///
 /// The screens read the members' rows, not the memo tiers. A point
-/// fits every member's shell exactly when it is in every member's row
-/// (the rows were screened by the same area function under
-/// `constraints.chiplet_area_limit_mm2`, so `constraints` must carry
-/// the build's area limit), and its lower bounds are the rows' stored
-/// ones.
+/// fits every member's shell when it is in every member's row (the
+/// rows were screened by the same area function), and its lower
+/// bounds are the rows' stored ones. So `constraints` may not carry a
+/// looser area limit than the build's; a tighter one selects the same
+/// point, because the fold below re-checks every member's area.
 ///
 /// A surviving point may have been lb-screened in a *member's* row
 /// (the member's pivot bound can be tighter than its custom-latency

@@ -8,14 +8,15 @@
 //! Three request families are served:
 //!
 //! - **custom** ([`ResidentEngine::custom_batch`]): derive a custom,
-//!   clustered configuration per model. A whole batch is planned as
-//!   *one* flat evaluation table, so the single `par_map` load-balances
-//!   across requests, not just within one.
+//!   clustered configuration per model. The requests of a batch that
+//!   share constraints are planned as *one* flat evaluation table, so
+//!   the single `par_map` load-balances across requests, not just
+//!   within one.
 //! - **assign** ([`ResidentEngine::assign_batch`]): score test models
 //!   against the resident training output (built lazily, once).
 //! - **what-if** ([`ResidentEngine::what_if`]): probe feasibility of a
 //!   model under caller-supplied constraints without failing the
-//!   server.
+//!   server — a fail-fast custom request with a constraint override.
 //!
 //! Per-request knobs (degrade policy, constraint overrides) ride a
 //! cheap [`Claire`] clone; the engine — and with it every memo tier —
@@ -281,10 +282,10 @@ pub struct CustomRequest {
     /// options.
     pub policy: Option<RobustnessPolicy>,
     /// Per-request constraint override; `None` inherits the resident
-    /// options. Overridden requests take the recursive sweep (the
-    /// shared flat table is screened under the resident constraints,
-    /// so a *looser* override could need points outside it) — still
-    /// memo-warm, just not table-replayed.
+    /// options. Requests whose constraints are bitwise equal share one
+    /// flat table planned under them: a table's screens depend on its
+    /// constraints, so a looser override could need points outside
+    /// another set's table.
     pub constraints: Option<Constraints>,
     /// Cooperative cancellation flag: set it (from a watchdog, a
     /// deadline, a disconnect) and the request stops consuming workers
@@ -308,6 +309,16 @@ impl CustomRequest {
             constraints: None,
             cancel: None,
             deadline_ms: None,
+        }
+    }
+
+    /// A what-if probe: `model` under `constraints`, fail-fast (an
+    /// infeasible answer is never relaxed away).
+    pub fn what_if(model: Model, constraints: Constraints) -> Self {
+        CustomRequest {
+            policy: Some(RobustnessPolicy::FailFast),
+            constraints: Some(constraints),
+            ..CustomRequest::new(model)
         }
     }
 
@@ -338,6 +349,38 @@ pub struct WhatIfReport {
     /// The typed infeasibility when not (`NoFeasibleConfiguration`,
     /// `ChipletAreaUnsatisfiable`, or `IncompleteCoverage`).
     pub infeasibility: Option<ClaireError>,
+}
+
+impl WhatIfReport {
+    /// The what-if answer to a fail-fast custom result: a
+    /// configuration is `feasible`, and the three infeasibility errors
+    /// are a `feasible: false` answer, not an error.
+    ///
+    /// # Errors
+    ///
+    /// Every other error of `result` (invalid inputs, deadlines,
+    /// internal errors), unchanged.
+    pub fn from_custom(
+        result: Result<CustomResult, ClaireError>,
+    ) -> Result<WhatIfReport, ClaireError> {
+        match result {
+            Ok(result) => Ok(WhatIfReport {
+                feasible: true,
+                result: Some(result),
+                infeasibility: None,
+            }),
+            Err(
+                e @ (ClaireError::NoFeasibleConfiguration { .. }
+                | ClaireError::ChipletAreaUnsatisfiable { .. }
+                | ClaireError::IncompleteCoverage { .. }),
+            ) => Ok(WhatIfReport {
+                feasible: false,
+                result: None,
+                infeasibility: Some(e),
+            }),
+            Err(e) => Err(e),
+        }
+    }
 }
 
 /// A long-lived engine + façade pair serving batched requests over
@@ -488,70 +531,68 @@ impl ResidentEngine {
         }
     }
 
-    /// Serves a batch of custom-configuration requests. Every request
-    /// without a constraint override shares **one** flat evaluation
-    /// table — one `par_map` over the union of all `(model, hw-point)`
-    /// items — and replays its selection from it; overridden requests
-    /// fall back to the (memo-warm) recursive sweep. Results are in
-    /// request order, each independently succeeding or failing.
+    /// Serves a batch of custom-configuration requests. Requests with
+    /// the same (bitwise) constraints share **one** flat evaluation
+    /// table — one `par_map` over the union of their `(model,
+    /// hw-point)` items — and replay their selections from it. Results
+    /// are in request order, each independently succeeding or failing.
     pub fn custom_batch(
         &self,
         requests: &[CustomRequest],
     ) -> Vec<Result<CustomResult, ClaireError>> {
-        // Partition: table-eligible requests batch into one plan.
-        let eligible: Vec<usize> = requests
+        if let Err(e) = self.claire.validate_inputs() {
+            return requests.iter().map(|_| Err(e.clone())).collect();
+        }
+        let opts = self.claire.options();
+        let constraints = |r: &CustomRequest| r.constraints.unwrap_or(opts.constraints);
+        let mut out: Vec<Option<Result<CustomResult, ClaireError>>> = requests
             .iter()
-            .enumerate()
-            .filter(|(_, r)| r.constraints.is_none())
-            .map(|(i, _)| i)
+            .map(|r| r.cancelled().then(|| Err(r.deadline_error())))
             .collect();
-        let use_table = !eligible.is_empty() && !self.claire.legacy_flow_active(&self.engine);
-
-        let mut out: Vec<Option<Result<CustomResult, ClaireError>>> =
-            requests.iter().map(|_| None).collect();
-
-        if use_table {
-            let models: Vec<Model> = eligible
-                .iter()
-                .map(|&i| requests[i].model.clone())
-                .collect();
-            let cancels: Vec<Arc<AtomicBool>> = eligible
-                .iter()
-                .map(|&i| requests[i].cancel.clone().unwrap_or_default())
-                .collect();
-            let opts = self.claire.options();
-            let table = self.engine.time_stage("plan", || {
-                build_eval_table_cancellable(
-                    &models,
-                    &opts.space,
-                    &opts.constraints,
-                    &self.engine,
-                    &cancels,
-                )
+        let mut groups: BTreeMap<[u64; 3], Vec<usize>> = BTreeMap::new();
+        for (i, r) in requests.iter().enumerate() {
+            if out[i].is_none() {
+                let c = constraints(r);
+                let key = [
+                    c.chiplet_area_limit_mm2.to_bits(),
+                    c.power_density_limit_w_per_mm2.to_bits(),
+                    c.latency_slack.to_bits(),
+                ];
+                groups.entry(key).or_default().push(i);
+            }
+        }
+        for group in groups.values() {
+            // A sampled search policy is its own selection: no table.
+            let table = (!opts.search.is_sampled()).then(|| {
+                let models: Vec<Model> = group.iter().map(|&i| requests[i].model.clone()).collect();
+                let cancels: Vec<Arc<AtomicBool>> = group
+                    .iter()
+                    .map(|&i| requests[i].cancel.clone().unwrap_or_default())
+                    .collect();
+                let cons = constraints(&requests[group[0]]);
+                self.engine.time_stage("plan", || {
+                    build_eval_table_cancellable(
+                        &models,
+                        &opts.space,
+                        &cons,
+                        &self.engine,
+                        &cancels,
+                    )
+                })
             });
-            for (row, &i) in table.rows.iter().zip(&eligible) {
+            for (gi, &i) in group.iter().enumerate() {
+                let req = &requests[i];
                 // A cancelled request's row is garbage by contract —
                 // answer the typed deadline error, never the row.
-                if requests[i].cancelled() {
-                    out[i] = Some(Err(requests[i].deadline_error()));
-                    continue;
-                }
-                let claire = self.claire_for(requests[i].policy, None);
-                out[i] = Some(claire.custom_from_plan(&requests[i].model, row, &self.engine));
+                out[i] = Some(if req.cancelled() {
+                    Err(req.deadline_error())
+                } else {
+                    let row = table.as_ref().map(|t| &t.rows[gi]);
+                    let claire = self.claire_for(req.policy, req.constraints);
+                    claire.custom_from_plan(&req.model, row, &self.engine)
+                });
             }
         }
-
-        for (i, req) in requests.iter().enumerate() {
-            if out[i].is_none() {
-                if req.cancelled() {
-                    out[i] = Some(Err(req.deadline_error()));
-                    continue;
-                }
-                let claire = self.claire_for(req.policy, req.constraints);
-                out[i] = Some(claire.custom_for_with_engine(&req.model, &self.engine));
-            }
-        }
-
         out.into_iter()
             .map(|r| {
                 r.unwrap_or_else(|| {
@@ -607,7 +648,9 @@ impl ResidentEngine {
 
     /// Probes whether `model` has a feasible configuration under
     /// `constraints`, without relaxation and without failing the
-    /// server: infeasibility is an answer, not an error.
+    /// server: infeasibility is an answer, not an error. The probe is
+    /// a [`CustomRequest::what_if`] through
+    /// [`ResidentEngine::custom_batch`].
     ///
     /// # Errors
     ///
@@ -618,24 +661,13 @@ impl ResidentEngine {
         model: &Model,
         constraints: Constraints,
     ) -> Result<WhatIfReport, ClaireError> {
-        let claire = self.claire_for(Some(RobustnessPolicy::FailFast), Some(constraints));
-        match claire.custom_for_with_engine(model, &self.engine) {
-            Ok(result) => Ok(WhatIfReport {
-                feasible: true,
-                result: Some(result),
-                infeasibility: None,
-            }),
-            Err(
-                e @ (ClaireError::NoFeasibleConfiguration { .. }
-                | ClaireError::ChipletAreaUnsatisfiable { .. }
-                | ClaireError::IncompleteCoverage { .. }),
-            ) => Ok(WhatIfReport {
-                feasible: false,
-                result: None,
-                infeasibility: Some(e),
-            }),
-            Err(e) => Err(e),
-        }
+        let request = CustomRequest::what_if(model.clone(), constraints);
+        let result = self.custom_batch(std::slice::from_ref(&request)).pop();
+        WhatIfReport::from_custom(result.unwrap_or_else(|| {
+            Err(ClaireError::Internal {
+                detail: "a one-request batch returned no result".into(),
+            })
+        }))
     }
 }
 
@@ -684,8 +716,8 @@ mod tests {
     fn custom_batch_degrades_with_provenance_under_degrade_policy() {
         // The resident constraints are unsatisfiable at rung 0; under
         // `Degrade` every batched request must still come back with an
-        // answer, carrying the relaxation provenance — both down the
-        // table-replay path and the constraint-override fallback path.
+        // answer, carrying the relaxation provenance — both from the
+        // resident constraints' table and from an override's own table.
         let tight = Constraints {
             chiplet_area_limit_mm2: 0.5,
             ..Constraints::default()
@@ -786,6 +818,34 @@ mod tests {
             format!("{:?}", survivor.config),
             format!("{:?}", reference.config)
         );
+    }
+
+    #[test]
+    fn cancelled_override_request_answers_deadline_and_prices_nothing() {
+        use crate::telemetry::Metric;
+
+        let resident = ResidentEngine::new(ClaireOptions::default(), vec![]);
+        let probe = Constraints {
+            chiplet_area_limit_mm2: 80.0,
+            ..Constraints::default()
+        };
+        let mut doomed = CustomRequest::what_if(zoo::resnet18(), probe);
+        doomed.cancel = Some(Arc::new(AtomicBool::new(true)));
+        doomed.deadline_ms = Some(5);
+        let misses = resident.engine.telemetry().counter(Metric::SumMiss);
+        let results = resident.custom_batch(&[doomed]);
+        assert!(
+            matches!(
+                results[0],
+                Err(ClaireError::DeadlineExceeded {
+                    deadline_ms: 5,
+                    stage: "evaluating"
+                })
+            ),
+            "{:?}",
+            results[0]
+        );
+        assert_eq!(resident.engine.telemetry().counter(Metric::SumMiss), misses);
     }
 
     #[test]
